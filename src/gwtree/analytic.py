@@ -25,10 +25,9 @@ Other quantities implemented here:
   g_gap, beta_slope  the perturbation gap g(c, delta) = delta - log(1 + delta/c)
                      and its slope beta(c) = 1 - 1/c as delta -> 0.
 
-All pmf/series evaluation is done in the log domain with a single final
-exponentiation (k! overflows doubles near k = 171).  Series are extended
-until the current term drops below 1e-12 and at least three consecutive
-terms decrease.
+Pmfs are exponentiated once from the log-domain laws module (k! overflows
+doubles near k = 171).  Series are extended until the current term drops
+below 1e-12 and at least three consecutive terms decrease.
 """
 
 from __future__ import annotations
@@ -36,6 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+from .laws import log_borel, log_expm1, log_poisson
 
 __all__ = [
     "GWParams",
@@ -147,22 +148,13 @@ def extinction_prob(c: float, tol: float = 1e-12) -> GWParams:
     return params
 
 
-def _log_expm1_ratio(x: float) -> float:
-    # log((e^x - 1)/x), stable for both small and large x
-    if x <= 0.0:
-        raise ValueError(f"argument must be positive, got {x}")
-    if x > 30.0:
-        return x + math.log1p(-math.exp(-x)) - math.log(x)
-    return math.log(math.expm1(x) / x)
-
-
 def alpha(lam: float, mu: float) -> float:
     """log((e^mu - 1)/mu) - log((e^lam - 1)/lam) for mu > lam > 0."""
     _require_finite("lam", lam)
     _require_finite("mu", mu)
     if not (mu > lam > 0.0):
         raise ValueError(f"alpha requires mu > lam > 0, got lam={lam}, mu={mu}")
-    return _log_expm1_ratio(mu) - _log_expm1_ratio(lam)
+    return (log_expm1(mu) - math.log(mu)) - (log_expm1(lam) - math.log(lam))
 
 
 def borel_pmf(lam: float, k: int) -> float:
@@ -176,18 +168,15 @@ def borel_pmf(lam: float, k: int) -> float:
         raise ValueError(f"borel_pmf requires k >= 1, got {k}")
     if not (lam > 0.0) or not math.isfinite(lam):
         raise ValueError(f"borel_pmf requires finite lam > 0, got {lam}")
-    lp = (k * (math.log(lam) - lam) + (k - 1) * math.log(k)
-          - math.log(lam) - math.lgamma(k + 1))
-    return math.exp(lp)
+    return math.exp(log_borel(lam, k))
 
 
 def degree_pmf(params: GWParams, k: int) -> float:
     """Root-degree law r_k = e^{-c} c^k (1 - q^k) / (theta k!) for k >= 1."""
     if k < 1:
         raise ValueError(f"degree_pmf requires k >= 1, got {k}")
-    c, q = params.c, params.q
-    lp = -c + k * math.log(c) - math.lgamma(k + 1)
-    return math.exp(lp) * (-math.expm1(k * math.log(q))) / params.theta
+    return (math.exp(log_poisson(params.c, k))
+            * (-math.expm1(k * math.log(params.q))) / params.theta)
 
 
 def degree_tail(params: GWParams, k: int) -> float:
@@ -197,12 +186,9 @@ def degree_tail(params: GWParams, k: int) -> float:
     c = params.c
     # find a cutoff where the summand has underflowed
     hi = max(k + 10, int(4 * c) + 20)
-    while -c + hi * math.log(c) - math.lgamma(hi + 1) > -745.0:
+    while log_poisson(c, hi) > -745.0:
         hi += 20
-    total = 0.0
-    for j in range(hi, k, -1):
-        total += degree_pmf(params, j)
-    return total
+    return sum(degree_pmf(params, j) for j in range(hi, k, -1))
 
 
 def _sum_until_settled(term, start: int = 1, tol: float = 1e-12) -> float:
@@ -233,7 +219,7 @@ def pgw1_log_degree_constant() -> float:
     the finite bushes), hence this fixed series rather than degree_pmf.
     """
     return _sum_until_settled(
-        lambda k: math.exp(-1.0 - math.lgamma(k + 1)) * math.log1p(k), start=0)
+        lambda k: math.exp(log_poisson(1.0, k)) * math.log1p(k), start=0)
 
 
 def expected_log_degree(params: GWParams) -> float:

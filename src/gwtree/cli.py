@@ -188,7 +188,10 @@ def _resolve(args: argparse.Namespace) -> dict:
     for key, val in file_cfg.items():
         if key not in casts and key not in ("c", "lam", "mu"):
             raise ConfigError(f"unknown config key {key!r}")
-        cfg[key] = casts.get(key, str)(val)
+        try:
+            cfg[key] = casts.get(key, str)(val)
+        except ValueError as exc:
+            raise ConfigError(f"{args.config}: {key}: {exc}") from None
     for key, val in vars(args).items():
         if key in ("command", "config") or val is None:
             continue
@@ -214,7 +217,13 @@ def _need(cfg: dict, key: str, kind, cond=None, msg: str = ""):
 def _validated_inputs(cfg: dict) -> dict:
     """Field-level validation of every numeric input before any work starts."""
     cmd = cfg["command"]
-    out = {"seed": _need(cfg, "seed", int)}
+    out = {"seed": _need(cfg, "seed", int),
+           "workers": _worker_count(cfg.get("workers"))}
+    if cfg.get("out"):
+        where = os.path.dirname(os.path.abspath(cfg["out"]))
+        if not (os.path.isdir(where) and os.access(where, os.W_OK)):
+            raise ConfigError(f"out: directory {where} does not exist or is "
+                              "not writable")
     if cmd in ("params", "bounds", "returns", "estimate-f", "empirical-f"):
         cs = _need(cfg, "c", _float_list, lambda v: len(v) > 0, "need >= 1 value")
         for c in cs:
@@ -241,6 +250,12 @@ def _validated_inputs(cfg: dict) -> dict:
         mu = _need(cfg, "mu", float)
         if not (mu > lam > 1.0):
             raise ConfigError(f"lam/mu: need mu > lambda > 1, got {lam}, {mu}")
+        from .domination import _coupled_sampler
+        try:
+            _coupled_sampler(lam, mu)
+        except ArithmeticError as exc:
+            raise ConfigError(
+                f"lam/mu: cannot couple at {lam}, {mu}: {exc}") from None
         out["lam"], out["mu"] = lam, mu
         out["depth"] = _need(cfg, "depth", int, lambda v: v >= 1, "must be >= 1")
         out["samples"] = _need(cfg, "samples", int, lambda v: v >= 1, "must be >= 1")
@@ -282,15 +297,13 @@ def _task_empirical_f(kw):
     return empirical_f(**kw).to_dict()
 
 
-_TASKS = {"returns": _task_returns, "estimate-f": _task_estimate_f,
-          "empirical-f": _task_empirical_f}
-
-
 def _worker_count(cfg_workers) -> int:
     if cfg_workers is not None:
         return max(1, int(cfg_workers))
     env = os.environ.get("GWTREE_THREADS")
     if env:
+        if not env.strip().isdigit():
+            raise ConfigError(f"GWTREE_THREADS must be an integer, got {env!r}")
         return max(1, int(env))
     return os.cpu_count() or 1
 
@@ -359,7 +372,7 @@ def _run_returns(v, cfg):
     tasks = [{"c": c, "K": v["K"], "n_samples": v["samples"],
               "seed": derive_seed(v["seed"], "returns", c)}
              for c in v["c_grid"]]
-    reps = _parallel(_task_returns, tasks, _worker_count(cfg.get("workers")))
+    reps = _parallel(_task_returns, tasks, v["workers"])
     rows = [{"c": c, "K": v["K"], "n_samples": r["n_samples"],
              "value": r["value"], "stderr": r["stderr"], "seed": r["seed"]}
             for c, r in zip(v["c_grid"], reps)]
@@ -370,7 +383,7 @@ def _run_estimate_f(v, cfg):
     tasks = [{"c": c, "K": v["K"], "n_samples": v["samples"],
               "seed": derive_seed(v["seed"], "estimate_f", c)}
              for c in v["c_grid"]]
-    reps = _parallel(_task_estimate_f, tasks, _worker_count(cfg.get("workers")))
+    reps = _parallel(_task_estimate_f, tasks, v["workers"])
     rows = [{"c": c, "K": v["K"], "n_samples": r["n_samples"],
              "value": r["value"], "stderr": r["stderr"],
              "elog_deg": r["elog_deg"],
@@ -383,7 +396,7 @@ def _run_empirical_f(v, cfg):
     tasks = [{"n": v["n"], "c": c, "reps": v["reps"],
               "seed": derive_seed(v["seed"], "empirical_f", c)}
              for c in v["c_grid"]]
-    reps = _parallel(_task_empirical_f, tasks, _worker_count(cfg.get("workers")))
+    reps = _parallel(_task_empirical_f, tasks, v["workers"])
     rows = [{"c": c, "n": v["n"], "reps": r["n_samples"], "value": r["value"],
              "stderr": r["stderr"], "seed": r["seed"]}
             for c, r in zip(v["c_grid"], reps)]
@@ -485,9 +498,16 @@ def main(argv=None) -> int:
         text = _render_csv(args.command, cfg, rows, extra)
     if cfg["out"]:
         tmp = str(cfg["out"]) + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, cfg["out"])
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, cfg["out"])
+        except OSError as exc:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            print(f"gwtree: error: cannot write {cfg['out']}: {exc}",
+                  file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return 0

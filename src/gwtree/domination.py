@@ -15,7 +15,7 @@ into T', by recursing the following step over matched type-I vertices:
   * the count S of type-I children on the lam side plus an independent
     Poisson(alpha*) overhead (alpha* = alpha(lam*theta_lam, mu*theta_mu))
     is drawn jointly with the mu-side count H through one uniform and the
-    two quantile tables, so H >= S surely;
+    cdf tables of the two laws (hi clamped below lo), so H >= S surely;
   * S is split conditionally into the actual lam-side type-I count and
     the overhead W; thinning W with probability g/alpha*
     (g = lam*q_lam - mu*q_mu) yields the number Z' of lam-only finite
@@ -32,6 +32,8 @@ The node map covers the matched type-I skeleton, the shared bushes
 (isomorphically), and the roots of the extra bushes; interiors of extra
 bushes have no structural counterpart on the mu side (their domination
 witness is the infinite subtree size of the image).
+Its tables come from laws.cdf_table; below lam of about 1.02 the bush-size
+tables cannot close and _CoupledSampler raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -40,14 +42,17 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 
 import numpy as np
 from mpmath import mp, mpf
 
-from .analytic import alpha, borel_pmf, extinction_prob
+from .analytic import alpha, extinction_prob
+from .laws import (cdf_table, log_borel, log_bush_excess, log_conv,
+                   log_split, positive_poisson_cdf, quantile)
 from .rng import substream
-from .trees import (TYPE_F, TYPE_I, RootedTree, _positive_poisson,
-                    _uniform_rooted_tree)
+from .trees import (TYPE_F, TYPE_I, RootedTree, _uniform_rooted_tree,
+                    subtree_stats)
 
 __all__ = [
     "TailReport",
@@ -115,10 +120,7 @@ def conv_pmf(lam: float, beta: float, k: int) -> float:
         raise ValueError(f"conv_pmf requires lam > 0, got {lam}")
     if beta < 0.0:
         raise ValueError(f"conv_pmf requires beta >= 0, got {beta}")
-    log_norm = lam + math.log1p(-math.exp(-lam)) if lam > 30 else math.log(math.expm1(lam))
-    lp = (-beta + k * math.log(lam + beta) - math.lgamma(k + 1) - log_norm)
-    ratio = (beta / (lam + beta)) ** k
-    return math.exp(lp) * (1.0 - ratio)
+    return math.exp(log_conv(lam, beta, k))
 
 
 def positive_poisson_pmf(rate: float, k: int) -> float:
@@ -181,69 +183,37 @@ def verify_tail_domination(lam: float, mu: float, beta: float | None = None,
 # quantile-coupled samplers
 
 
-def _cdf_table(pmf, tol: float = 1e-15, kcap: int = 200_000) -> np.ndarray:
-    """cdf[j] = P(X <= j+1) for a law on {1, 2, ...}, extended until the
-    remaining tail is below tol."""
-    vals = []
-    cum = 0.0
-    k = 1
-    while cum < 1.0 - tol:
-        cum += pmf(k)
-        vals.append(min(cum, 1.0))
-        k += 1
-        if k > kcap:
-            raise ArithmeticError("cdf table failed to close; improper law?")
-    return np.asarray(vals)
-
-
-def _quantile(cdf: np.ndarray, u) -> np.ndarray | int:
-    """Generalized inverse of a {1,2,...}-supported cdf table at u in [0,1)."""
-    idx = np.searchsorted(cdf, u, side="left")
-    return np.minimum(idx, len(cdf) - 1) + 1
-
-
 def _dominated_cdf_pair(rate_lo: float, beta: float, rate_hi: float):
     """cdf tables for lo ~ Q*_rate_lo + Q_beta and hi ~ Q*_rate_hi, with the
     hi table clamped below the lo table so the shared-uniform quantile
     coupling satisfies hi >= lo even at float rounding."""
-    cdf_lo = _cdf_table(lambda k: conv_pmf(rate_lo, beta, k))
-    cdf_hi = _cdf_table(lambda k: positive_poisson_pmf(rate_hi, k))
-    n = max(len(cdf_lo), len(cdf_hi))
-    cdf_lo = np.pad(cdf_lo, (0, n - len(cdf_lo)), constant_values=1.0)
-    cdf_hi = np.pad(cdf_hi, (0, n - len(cdf_hi)), constant_values=1.0)
-    cdf_hi = np.minimum(cdf_hi, cdf_lo)
-    return cdf_lo, cdf_hi
-
-
-@lru_cache(maxsize=64)
-def _offspring_cdfs(lam: float, mu: float):
-    return _dominated_cdf_pair(lam, alpha(lam, mu), mu)
+    cdf_lo = cdf_table(log_conv, rate_lo, beta)
+    cdf_hi = positive_poisson_cdf(rate_hi)
+    return cdf_lo, tuple(min(h, lo) for h, lo in
+                         zip_longest(cdf_hi, cdf_lo, fillvalue=1.0))
 
 
 def sample_dominated_offspring(lam: float, mu: float, seed: int) -> tuple[int, int]:
     """One draw of the monotone coupling (lo, hi) with lo ~ Q*_lam + Q_alpha,
     hi ~ Q*_mu, and hi >= lo surely."""
-    if not (mu > lam > 0.0):
-        raise ValueError(f"requires mu > lam > 0, got lam={lam}, mu={mu}")
-    cdf_lo, cdf_hi = _offspring_cdfs(lam, mu)
-    u = substream(seed, "domoffspring", lam, mu).random()
-    return int(_quantile(cdf_lo, u)), int(_quantile(cdf_hi, u))
+    lo, hi = sample_dominated_offspring_many(lam, mu, 1, seed)
+    return int(lo[0]), int(hi[0])
 
 
 def sample_dominated_offspring_many(lam: float, mu: float, n: int,
                                     seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized version of sample_dominated_offspring (one uniform per pair)."""
-    if not (mu > lam > 0.0):
-        raise ValueError(f"requires mu > lam > 0, got lam={lam}, mu={mu}")
-    cdf_lo, cdf_hi = _offspring_cdfs(lam, mu)
+    """n draws of sample_dominated_offspring's coupling, one uniform each;
+    the first is the single draw of the same seed."""
+    cdf_lo, cdf_hi = _dominated_cdf_pair(lam, alpha(lam, mu), mu)
     u = substream(seed, "domoffspring", lam, mu).random(n)
-    return _quantile(cdf_lo, u), _quantile(cdf_hi, u)
+    return quantile(np.asarray(cdf_lo), u), quantile(np.asarray(cdf_hi), u)
 
 
 # ---------------------------------------------------------------------------
 # coupled survival-conditioned trees
 
 
+@dataclass(eq=False)
 class CoupledPair:
     """Two trees plus the root-preserving node map lo -> hi.
 
@@ -253,26 +223,19 @@ class CoupledPair:
     their domination witness is the infinite subtree size of the image.
     """
 
-    def __init__(self, lo: RootedTree, hi: RootedTree, node_map: dict,
-                 root_couple: OffspringCouple, lam: float, mu: float,
-                 depth: int, seed: int):
-        self.lo = lo
-        self.hi = hi
-        self.node_map = node_map
-        self.root_couple = root_couple
-        self.lam = lam
-        self.mu = mu
-        self.depth = depth
-        self.seed = seed
+    lo: RootedTree
+    hi: RootedTree
+    node_map: dict
+    root_couple: OffspringCouple
+    lam: float
+    mu: float
+    depth: int
+    seed: int
 
     def validate_embedding(self) -> None:
         """Injectivity, root preservation, parent compatibility, and
         subtree-size dominance of the node map; raises on violation."""
-        from .trees import subtree_stats
-        if self.lo.subtree_size is None:
-            subtree_stats(self.lo)
-        if self.hi.subtree_size is None:
-            subtree_stats(self.hi)
+        lo_n, hi_n = _sizes(self.lo), _sizes(self.hi)
         m = self.node_map
         if m.get(self.lo.root) != self.hi.root:
             raise ValueError("node map does not send root to root")
@@ -284,7 +247,7 @@ class CoupledPair:
                 if pu not in m or m[pu] != self.hi.parent[v]:
                     raise ValueError(
                         f"parent of image differs from image of parent at {u}")
-            if self.hi.subtree_size[v] < self.lo.subtree_size[u]:
+            if hi_n[v] < lo_n[u]:
                 raise ValueError(f"subtree size dominance fails at {u}")
 
     def audit_le1(self) -> bool:
@@ -292,21 +255,22 @@ class CoupledPair:
         coupled (type-I skeleton pairs and shared-bush pairs).  Extra-bush
         roots map to type-I vertices and are witnessed by N = inf at the
         parent level, not by a recursive child-list comparison."""
-        from .trees import subtree_stats
-        if self.lo.subtree_size is None:
-            subtree_stats(self.lo)
-        if self.hi.subtree_size is None:
-            subtree_stats(self.hi)
+        lo_n, hi_n = _sizes(self.lo), _sizes(self.hi)
         for u, v in self.node_map.items():
             if self.lo.ntype[u] != self.hi.ntype[v]:
                 continue  # extra-bush root onto spare infinite child
             if self.lo.open_[u]:
                 continue  # frontier stub
-            lo_sizes = [self.lo.subtree_size[w] for w in self.lo.children[u]]
-            hi_sizes = [self.hi.subtree_size[w] for w in self.hi.children[v]]
-            if not _le1_sorted(lo_sizes, hi_sizes):
+            if not _le1_sorted([lo_n[w] for w in self.lo.children[u]],
+                               [hi_n[w] for w in self.hi.children[v]]):
                 return False
         return True
+
+
+def _sizes(t: RootedTree) -> list[float]:
+    if t.subtree_size is None:
+        subtree_stats(t)
+    return t.subtree_size
 
 
 def _le1_sorted(lo_sizes, hi_sizes) -> bool:
@@ -323,22 +287,8 @@ def check_le1(lo: RootedTree, hi: RootedTree) -> bool:
     """True iff an injection from lo-root children to hi-root children exists
     with N(image) >= N(child).  Both trees need subtree-size annotations
     (filled on demand)."""
-    from .trees import subtree_stats
-    if lo.subtree_size is None:
-        subtree_stats(lo)
-    if hi.subtree_size is None:
-        subtree_stats(hi)
-    return _le1_sorted([lo.subtree_size[w] for w in lo.children[lo.root]],
-                       [hi.subtree_size[w] for w in hi.children[hi.root]])
-
-
-def _log_poisson(rate: float, k: int) -> float:
-    return -rate + (k * math.log(rate) if k else 0.0) - math.lgamma(k + 1)
-
-
-def _mean_count_log(nu: float, k: int) -> float:
-    # log of the expected number of size-k finite bushes, (nu e^{-nu})^k k^{k-1}/k!
-    return k * (math.log(nu) - nu) + (k - 1) * math.log(k) - math.lgamma(k + 1)
+    return _le1_sorted([_sizes(lo)[w] for w in lo.children[lo.root]],
+                       [_sizes(hi)[w] for w in hi.children[hi.root]])
 
 
 class _CoupledSampler:
@@ -351,43 +301,16 @@ class _CoupledSampler:
         self.lam, self.mu = lam, mu
         pl, pm = extinction_prob(lam), extinction_prob(mu)
         self.rate_i_lo, self.rate_i_hi = pl.ctheta, pm.ctheta
-        self.rate_f_lo, self.rate_f_hi = pl.cq, pm.cq
+        self.rate_f_hi = pm.cq
         self.alpha_star = alpha(self.rate_i_lo, self.rate_i_hi)
         self.g = pl.cq - pm.cq  # expected extra finite mass on the lam side
         self.thin_p = self.g / self.alpha_star  # in (0, 1)
         self.cdf_loplus, self.cdf_ihi = _dominated_cdf_pair(
             self.rate_i_lo, self.alpha_star, self.rate_i_hi)
-        self.shared_size_cdf = _cdf_table(lambda k: borel_pmf(self.rate_f_hi, k))
-        self.extra_size_cdf = self._extra_size_table()
-        self._split_cache: dict[int, np.ndarray] = {}
-
-    def _extra_size_table(self) -> np.ndarray:
-        # sizes of lam-only bushes: pmf_k = (m_k(lam) - m_k(mu)) / g, where
-        # m_k(nu) is the expected count of size-k bushes at parameter nu
-        vals = []
-        cum = 0.0
-        k = 1
-        while cum < 1.0 - 1e-13:
-            diff = (math.exp(_mean_count_log(self.lam, k))
-                    - math.exp(_mean_count_log(self.mu, k)))
-            cum += max(diff, 0.0) / self.g
-            vals.append(min(cum, 1.0))
-            k += 1
-            if k > 100_000:
-                break  # remaining mass < 1e-13; quantiles clip to the table end
-        return np.asarray(vals)
-
-    def _split_infinite_sum(self, s: int, u: float) -> int:
-        """Conditional draw of a from (Q*_rate_i_lo, Q_alpha*) given sum = s."""
-        cum = self._split_cache.get(s)
-        if cum is None:
-            logw = [positive_poisson_log(self.rate_i_lo, a)
-                    + _log_poisson(self.alpha_star, s - a)
-                    for a in range(1, s + 1)]
-            w = np.exp(np.asarray(logw) - max(logw))
-            cum = np.cumsum(w / w.sum())
-            self._split_cache[s] = cum
-        return int(np.searchsorted(cum, u, side="left")) + 1
+        self.shared_size_cdf = cdf_table(log_borel, self.rate_f_hi)
+        # sizes of lam-only bushes: pmf_k = (m_k(lam) - m_k(mu)) / g
+        self.extra_size_cdf = cdf_table(log_bush_excess, lam, mu)
+        self.qstar_hi_cdf = positive_poisson_cdf(self.rate_i_hi)
 
     def _graft_uniform_bush(self, trees_nodes, size: int, rng) -> list[list[int]]:
         """Attach the same uniform rooted tree of the given size below each
@@ -420,15 +343,16 @@ class _CoupledSampler:
             if lo.depth[u] > depth:
                 continue  # both stubs stay open
             unif = rng.random()
-            s_plus = int(_quantile(self.cdf_loplus, unif))
-            h = int(_quantile(self.cdf_ihi, unif))  # h >= s_plus
-            a = self._split_infinite_sum(s_plus, rng.random())
+            s_plus = quantile(self.cdf_loplus, unif)
+            h = quantile(self.cdf_ihi, unif)  # h >= s_plus
+            a = quantile(cdf_table(log_split, self.rate_i_lo, self.alpha_star,
+                                   s_plus), rng.random())
             w = s_plus - a
             z_extra = int(rng.binomial(w, self.thin_p)) if w else 0
             z_shared = int(rng.poisson(self.rate_f_hi))
-            shared_sizes = [int(_quantile(self.shared_size_cdf, rng.random()))
+            shared_sizes = [quantile(self.shared_size_cdf, rng.random())
                             for _ in range(z_shared)]
-            extra_sizes = [int(_quantile(self.extra_size_cdf, rng.random()))
+            extra_sizes = [quantile(self.extra_size_cdf, rng.random())
                            for _ in range(z_extra)]
             lo.open_[u] = False
             hi.open_[v] = False
@@ -469,20 +393,15 @@ class _CoupledSampler:
             x = stack.pop()
             if tree.depth[x] > depth:
                 continue
-            n_i = _positive_poisson(rng.random(), self.rate_i_hi)
+            n_i = quantile(self.qstar_hi_cdf, rng.random())
             n_f = int(rng.poisson(self.rate_f_hi))
             tree.open_[x] = False
             for _ in range(n_i):
                 stack.append(tree.add_node(x, TYPE_I))
             for _ in range(n_f):
                 bw = tree.add_node(x, TYPE_F)
-                size = int(_quantile(self.shared_size_cdf, rng.random()))
+                size = quantile(self.shared_size_cdf, rng.random())
                 self._graft_uniform_bush([(tree, bw)], size, rng)
-
-
-def positive_poisson_log(rate: float, k: int) -> float:
-    log_norm = rate + math.log1p(-math.exp(-rate)) if rate > 30 else math.log(math.expm1(rate))
-    return k * math.log(rate) - math.lgamma(k + 1) - log_norm
 
 
 @lru_cache(maxsize=16)

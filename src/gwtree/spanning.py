@@ -219,7 +219,22 @@ def write_edgelist(g: SparseGraph, path) -> None:
 
 
 def read_edgelist(path) -> SparseGraph:
+    """Inverse of write_edgelist; raises ValueError naming the first line
+    that breaks the format (header 'n m' with n >= 1, then m edge lines)."""
     with open(path) as fh:
-        n, m = map(int, fh.readline().split())
-        edges = [tuple(map(int, fh.readline().split())) for _ in range(m)]
+        lines = fh.read().splitlines() or [""]
+    pairs = []
+    for i, line in enumerate(lines, 1):
+        try:
+            u, v = map(int, line.split())
+        except ValueError:
+            raise ValueError(f"{path}:{i}: expected two integers, got "
+                             f"{line!r}") from None
+        pairs.append((u, v))
+    (n, m), edges = pairs[0], pairs[1:]
+    if n < 1 or m < 0:
+        raise ValueError(f"{path}:1: need n >= 1 and m >= 0, got {n} {m}")
+    if len(edges) != m:
+        raise ValueError(f"{path}:{min(len(edges), m) + 2}: header declares "
+                         f"{m} edges, file has {len(edges)}")
     return SparseGraph.from_edges(n, edges)

@@ -23,6 +23,7 @@ such a tree are exact for return times k <= 2*depth (see walk module).
 
 Node draws are keyed by the node's path from the root, so deepening a
 tree (same seed, larger depth) reproduces the shallow tree exactly.
+Type-I counts invert the laws module's positive-Poisson table at any c.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from collections import Counter, deque
 
 import numpy as np
 
+from .laws import positive_poisson_cdf, quantile
 from .rng import substream
 
 __all__ = [
@@ -143,20 +145,6 @@ class RootedTree:
                     raise ValueError(f"subtree size inconsistent at node {v}")
 
 
-def _positive_poisson(u: float, rate: float) -> int:
-    """Quantile of Poisson(rate) conditioned positive at u in [0, 1)."""
-    if rate <= 0.0:
-        return 1  # the rate -> 0 limit is the constant 1
-    target = u * (-math.expm1(-rate))
-    term = rate * math.exp(-rate)
-    k, cum = 1, term
-    while cum <= target and term > 5e-324:
-        k += 1
-        term *= rate / k
-        cum += term
-    return k
-
-
 def sample_pgw(c: float, node_cap: int, seed: int) -> RootedTree:
     """Poisson(c) branching tree by breadth-first level growth.
 
@@ -232,6 +220,7 @@ def sample_pgw_star(c: float, depth: int, seed: int) -> RootedTree:
         from .analytic import extinction_prob
         params = extinction_prob(c)
         rate_i, rate_f = params.ctheta, params.cq
+    qcdf = positive_poisson_cdf(rate_i)
 
     t = RootedTree()
     t.truncation_depth = depth
@@ -242,7 +231,7 @@ def sample_pgw_star(c: float, depth: int, seed: int) -> RootedTree:
         if t.depth[v] > depth:
             continue  # frontier stub, stays open
         rng = substream(seed, "pgwstar", path)
-        n_i = _positive_poisson(rng.random(), rate_i)
+        n_i = quantile(qcdf, rng.random())
         n_f = int(rng.poisson(rate_f))
         t.open_[v] = False
         for i in range(n_i):

@@ -19,7 +19,8 @@ visit), and records 1/k for each return time k <= K.  The per-sample value
 has expectation sum_{k<=K} E[p_k]/k, the K-truncated return integral, so
 the estimator is unbiased for the same estimand with variance read off the
 sample.  Trees touched this way are never materialized beyond the walk's
-trace, which keeps a 1e5-sample run at K = 60 in seconds.
+trace, which keeps a 1e5-sample run at K = 60 in seconds.  Type-I offspring
+counts invert the laws module's positive-Poisson table, fetched once per call.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .analytic import expected_log_degree, extinction_prob
+from .laws import positive_poisson_cdf, quantile
 from .reports import EstimateReport
 from .rng import substream
-from .trees import TYPE_I, RootedTree, _positive_poisson
+from .trees import TYPE_I, RootedTree
 
 __all__ = [
     "ReturnProfile",
@@ -173,40 +175,31 @@ def killed_walk_visits(t: RootedTree, s: float, seed: int,
         else:
             p = extinction_prob(grow)
             rates = (p.ctheta, p.cq)
+        qcdf = positive_poisson_cdf(rates[0])
 
     rng = substream(seed, "killedwalk")
-    # overlay holds lazy extensions: key -> (children keys, is_I flags);
-    # arena nodes are int keys, overlay nodes are tuples (base, i, j, ...)
-    overlay: dict = {}
-
-    def expand(key, is_i: bool):
-        n_i = _positive_poisson(rng.random(), rates[0]) if is_i else 0
-        n_f = int(rng.poisson(rates[1]))
-        kids = [(key if isinstance(key, tuple) else (key,)) + (i,)
-                for i in range(n_i + n_f)]
-        overlay[key] = (kids, n_i)
+    # arena nodes are int keys, lazily grown nodes are tuples (base, i, j, ...);
+    # grown[key] = (children keys, number of type-I children)
+    grown: dict = {}
 
     def neighbors(key):
-        if isinstance(key, int) and not t.open_[key]:
-            kids = t.children[key]
+        if isinstance(key, int):
             par = t.parent[key] if key != t.root else None
-            return kids, par
-        if key not in overlay:
+            if not t.open_[key]:
+                return t.children[key], par
+        else:
+            par = key[:-1] if len(key) > 2 else key[0]
+        if key not in grown:
             if rates is None:
                 raise RuntimeError("walk reached the frontier of a tree "
                                    "sampled without lazy growth")
-            if isinstance(key, int):
-                is_i = t.ntype[key] == TYPE_I
-            else:
-                base_kids, base_ni = overlay[key[:-1] if len(key) > 2 else key[0]]
-                is_i = key[-1] < base_ni
-            expand(key, is_i)
-        kids, _ = overlay[key]
-        if isinstance(key, int):
-            par = t.parent[key] if key != t.root else None
-        else:
-            par = key[:-1] if len(key) > 2 else key[0]
-        return kids, par
+            is_i = (t.ntype[key] == TYPE_I if isinstance(key, int)
+                    else key[-1] < grown[par][1])
+            n_i = quantile(qcdf, rng.random()) if is_i else 0
+            n_f = int(rng.poisson(rates[1]))
+            base = key if isinstance(key, tuple) else (key,)
+            grown[key] = ([base + (i,) for i in range(n_i + n_f)], n_i)
+        return grown[key][0], par
 
     cur = t.root
     visits = 1
@@ -224,22 +217,6 @@ def killed_walk_visits(t: RootedTree, s: float, seed: int,
 # annealed walk engine
 
 
-def _qstar_cdf(rate: float) -> np.ndarray:
-    """cdf table of Poisson(rate) conditioned positive."""
-    norm = -math.expm1(-rate)
-    vals = []
-    term = rate * math.exp(-rate)
-    cum = term
-    k = 1
-    while cum < norm * (1.0 - 1e-15) or k < 2:
-        k += 1
-        term *= rate / k
-        cum += term
-        vals.append(cum)
-    cdf = np.asarray([rate * math.exp(-rate)] + vals) / norm
-    return np.minimum(cdf, 1.0)
-
-
 def _annealed_return_walks(c: float, K: int, n_samples: int, seed: int):
     """Simulate one K-step walk per lazily grown two-type tree.
 
@@ -248,7 +225,7 @@ def _annealed_return_walks(c: float, K: int, n_samples: int, seed: int):
     """
     params = extinction_prob(c)
     rate_i, rate_f = params.ctheta, params.cq
-    qcdf = _qstar_cdf(rate_i)
+    qcdf = np.asarray(positive_poisson_cdf(rate_i))
     per_sample = np.zeros(n_samples)
     hits = np.zeros(K + 1, dtype=np.int64)
 
@@ -275,9 +252,7 @@ def _annealed_return_walks(c: float, K: int, n_samples: int, seed: int):
                 n_i = np.zeros(len(nodes), np.int64)
                 if (~f_here).any():
                     u = rng.random(int((~f_here).sum()))
-                    n_i[~f_here] = np.minimum(
-                        np.searchsorted(qcdf, u, side="left"),
-                        len(qcdf) - 1) + 1
+                    n_i[~f_here] = quantile(qcdf, u)
                 n_f = rng.poisson(rate_f, len(nodes))
                 tot = n_i + n_f
                 new_total = int(tot.sum())

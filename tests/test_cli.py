@@ -48,10 +48,11 @@ class TestValidation:
 
     def test_unknown_config_key(self, tmp_path):
         cfgfile = tmp_path / "bad.cfg"
-        cfgfile.write_text("nonsense = 1\n")
-        rc, _ = run(tmp_path, "x.json",
-                    ["params", "--c", "2", "--config", str(cfgfile)])
-        assert rc == 2
+        for text in ("nonsense = 1\n", "seed = abc\n"):
+            cfgfile.write_text(text)
+            rc, _ = run(tmp_path, "x.json",
+                        ["params", "--c", "2", "--config", str(cfgfile)])
+            assert rc == 2, text
 
 
 class TestVerifyDomination:
@@ -106,6 +107,8 @@ class TestWorkerCount:
         assert _worker_count(2) == 2  # explicit flag wins
         monkeypatch.delenv("GWTREE_THREADS")
         assert _worker_count(None) >= 1
+        monkeypatch.setenv("GWTREE_THREADS", "two")
+        assert main(["params", "--c", "2"]) == 2
 
 
 class TestConfigFile:
@@ -130,7 +133,30 @@ class TestConfigFile:
         assert len(doc["results"]) == 2
 
 
+class TestOutput:
+    def test_missing_directory_fails_before_work(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["params", "--c", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gwtree: error: out:") and err.count("\n") == 1
+
+    def test_failed_write_leaves_no_tmp(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()  # replacing a directory with a file fails
+        assert main(["params", "--c", "2", "--out", str(target)]) == 1
+        assert not (tmp_path / "taken.tmp").exists()
+
+
 class TestCouple:
+    @pytest.mark.parametrize("lam, mu", [(1.005, 1.01), (1.01, 1.5)])
+    def test_unclosable_tables_are_rejected(self, tmp_path, capsys, lam, mu):
+        rc, out = run(tmp_path, "cpl.json", ["couple", "--lambda", str(lam),
+                                             "--mu", str(mu)])
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("gwtree: error: lam/mu:") and err.count("\n") == 1
+
     def test_audit_passes(self, tmp_path):
         rc, out = run(tmp_path, "cpl.json",
                       ["couple", "--lambda", "1.2", "--mu", "1.5",

@@ -201,3 +201,17 @@ class TestEdgelistIO:
         assert np.array_equal(back.edges, g.edges)
         header = path.read_text().splitlines()[0]
         assert header == f"{g.n} {g.m}"
+
+    @pytest.mark.parametrize("text, line", [
+        ("5 3\n0 1\n1 2\n", 4),          # truncated: third edge missing
+        ("5 1\n0 1\n1 2\n", 3),          # an edge past the header's m
+        ("5 2\n0 1\n1\n", 3),            # malformed edge line
+        ("5\n", 1),                        # header without m
+        ("0 0\n", 1),                      # no vertices
+        ("", 1),                            # empty file
+    ])
+    def test_malformed_files_name_the_line(self, tmp_path, text, line):
+        path = tmp_path / "graph.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"graph.txt:{line}:"):
+            read_edgelist(path)

@@ -109,6 +109,12 @@ class TestSamplePgwStar:
                 i_kids = [w for w in t.children[v] if t.ntype[w] == TYPE_I]
                 assert len(i_kids) == 1
 
+    def test_large_c_root_children(self):
+        # ~c*theta = 800 type-I children; the quantile must not underflow
+        for s in range(4):
+            t = sample_pgw_star(800.0, 0, s)
+            assert sum(t.ntype[w] == TYPE_I for w in t.children[t.root]) > 700
+
     def test_structure_invariants_on_samples(self):
         for i in range(10_000):
             t = sample_pgw_star(1.5, 3, derive_seed(4, i))

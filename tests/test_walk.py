@@ -241,6 +241,10 @@ class TestEstimators:
         assert "wall_time" not in d
         assert "wall_time" in rep.to_dict(include_timing=True)
 
+    def test_large_c_terminates(self):
+        rep = estimate_return_integral(800.0, 20, 10, 1)
+        assert 0.0 <= rep.value < 1.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             estimate_return_integral(1.0, 20, 100, seed=0)
