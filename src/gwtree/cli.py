@@ -233,6 +233,7 @@ def _validated_inputs(cfg: dict) -> dict:
     if cmd in ("decay", "crosscheck"):
         out["c"] = _need(cfg, "c", float, lambda v: v > 1.0 and math.isfinite(v),
                          "must be finite and > 1")
+        cs = [out["c"]]
     if cmd == "params":
         out["tol"] = _need(cfg, "tol", float, lambda v: 0 < v <= 1e-6,
                            "must lie in (0, 1e-6]")
@@ -264,12 +265,21 @@ def _validated_inputs(cfg: dict) -> dict:
                          "must be even and >= 20")
         out["samples"] = _need(cfg, "samples", int, lambda v: v >= 2,
                                "must be >= 2")
+        from .analytic import extinction_prob
+        from .laws import positive_poisson_cdf
+        for c in cs:
+            try:
+                positive_poisson_cdf(extinction_prob(c).ctheta)
+            except ArithmeticError as exc:
+                raise ConfigError(f"c: cannot sample at {c}: {exc}") from None
     if cmd in ("empirical-f", "crosscheck"):
-        from .spanning import DENSE_FACTORIZATION_CAP
-        out["n"] = _need(cfg, "n", int,
-                         lambda v: 1 <= v <= DENSE_FACTORIZATION_CAP,
-                         f"must lie in [1, {DENSE_FACTORIZATION_CAP}]")
+        from .spanning import FACTORIZATION_CAP
+        out["n"] = _need(cfg, "n", int, lambda v: 1 <= v <= FACTORIZATION_CAP,
+                         f"must lie in [1, {FACTORIZATION_CAP}]")
         out["reps"] = _need(cfg, "reps", int, lambda v: v >= 1, "must be >= 1")
+        if max(cs) > out["n"]:
+            raise ConfigError(f"c: must not exceed n = {out['n']} "
+                              f"(edge probability c/n), got {max(cs)}")
     return out
 
 

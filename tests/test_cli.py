@@ -46,6 +46,25 @@ class TestValidation:
                     ["verify-domination", "--lambda", "2", "--mu", "1"])
         assert rc == 2
 
+    @pytest.mark.parametrize("cmd", [
+        ["empirical-f", "--c", "2,500"],
+        ["crosscheck", "--c", "500", "--K", "20", "--samples", "100"]])
+    def test_c_above_n(self, tmp_path, capsys, cmd):
+        rc, out = run(tmp_path, "x.json", cmd + ["--n", "300", "--reps", "2"])
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("gwtree: error: c:") and err.count("\n") == 1
+
+    def test_unclosable_offspring_table(self, tmp_path, capsys):
+        rc, out = run(tmp_path, "x.json",
+                      ["returns", "--c", "300000", "--K", "20",
+                       "--samples", "2", "--workers", "1"])
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("gwtree: error: c:") and err.count("\n") == 1
+
     def test_unknown_config_key(self, tmp_path):
         cfgfile = tmp_path / "bad.cfg"
         for text in ("nonsense = 1\n", "seed = abc\n"):

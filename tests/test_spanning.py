@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwtree import (SparseGraph, empirical_f, extinction_prob, giant_component,
                     log_spanning_trees, read_edgelist, sample_gnp,
@@ -40,6 +42,37 @@ def spanning_tree_count_brute(g):
             parent[ru] = rv
         count += ok
     return count
+
+
+def dense_log_tau(g):
+    """Oracle: slogdet of the dense reduced Laplacian (ground vertex 0)."""
+    lap = np.diag(g.degrees().astype(float))
+    lap[g.edges[:, 0], g.edges[:, 1]] = -1.0
+    lap[g.edges[:, 1], g.edges[:, 0]] = -1.0
+    sign, logdet = np.linalg.slogdet(lap[1:, 1:])
+    assert sign == 1.0
+    return logdet
+
+
+@st.composite
+def connected_graphs(draw):
+    """Giants of G(n, c/n) with n <= 300, and paths, cycles, stars and
+    complete graphs; each with a ground vertex."""
+    kind = draw(st.sampled_from(["giant", "path", "cycle", "star", "complete"]))
+    if kind == "giant":
+        n = draw(st.integers(2, 300))
+        c = draw(st.floats(1.1, 8.0))
+        seed = draw(st.integers(0, 2**32 - 1))
+        g = giant_component(sample_gnp(n, min(1.0, c / n), seed))[0]
+    elif kind == "complete":
+        g = complete_graph(draw(st.integers(1, 60)))
+    else:
+        n = draw(st.integers(3, 300))
+        pairs = {"path": [(i, i + 1) for i in range(n - 1)],
+                 "cycle": [(i, (i + 1) % n) for i in range(n)],
+                 "star": [(0, i) for i in range(1, n)]}[kind]
+        g = SparseGraph.from_edges(n, pairs)
+    return g, draw(st.integers(0, g.n - 1))
 
 
 class TestSparseGraph:
@@ -149,6 +182,31 @@ class TestLogSpanningTrees:
         with pytest.raises(ValueError, match="pivot"):
             log_spanning_trees(g)
 
+    @given(connected_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dense_oracle_at_any_ground(self, case):
+        g, ground = case
+        want = dense_log_tau(g)
+        for got in (log_spanning_trees(g).log_tau,
+                    log_spanning_trees(g, ground=ground).log_tau):
+            if g.m == g.n - 1:  # a tree: tau = 1
+                assert abs(got) <= 1e-12
+            else:
+                assert got == pytest.approx(want, rel=1e-10)
+
+    def test_disconnected_always_raises(self):
+        k50 = complete_graph(50).edges
+        giant = giant_component(sample_gnp(500, 3.0 / 500, seed=12))[0]
+        for g in (SparseGraph(100, np.concatenate([k50, k50 + 50])),
+                  SparseGraph(giant.n + 1, giant.edges)):  # one isolated vertex
+            for ground in (0, g.n // 2, g.n - 1):
+                with pytest.raises(ValueError, match="pivot"):
+                    log_spanning_trees(g, ground=ground)
+
+    def test_repeat_calls_bitwise_equal(self):
+        g = giant_component(sample_gnp(1500, 3.0 / 1500, seed=13))[0]
+        assert log_spanning_trees(g).log_tau == log_spanning_trees(g).log_tau
+
     def test_ground_row_invariance(self):
         g = giant_component(sample_gnp(400, 2.5 / 400, seed=3))[0]
         base = log_spanning_trees(g, ground=0).log_tau
@@ -184,7 +242,7 @@ class TestEmpiricalF:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            empirical_f(5000, 2.0, 2, seed=0)  # above the dense cap
+            empirical_f(5000, 2.0, 2, seed=0)  # above the factorization cap
         with pytest.raises(ValueError):
             empirical_f(100, 1.0, 2, seed=0)
         with pytest.raises(ValueError):
