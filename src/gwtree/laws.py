@@ -86,6 +86,16 @@ def positive_poisson_cdf(rate: float) -> tuple[float, ...]:
     return cdf_table(log_conv, rate, 0.0) if rate > 0.0 else (1.0,)
 
 
+def _log_poisson_from0(rate: float, k: int) -> float:
+    return log_poisson(rate, k - 1)
+
+
+def poisson_cdf(rate: float) -> tuple[float, ...]:
+    """cdf table of 1 + Q_rate (tables start at k = 1), so quantile(table, u)
+    - 1 is a Q_rate draw; rate 0 is the point mass at 0."""
+    return cdf_table(_log_poisson_from0, rate) if rate > 0.0 else (1.0,)
+
+
 def quantile(table, u):
     """Least k with P(X <= k) >= u for u in [0, 1): by bisection for a float
     u, by np.searchsorted for an array u (pass the table as an array)."""

@@ -21,9 +21,13 @@ sampled in full (they are a.s. finite), subject to a large per-bush node
 cap with resample-and-count-rejections accounting.  Walk computations on
 such a tree are exact for return times k <= 2*depth (see walk module).
 
-Node draws are keyed by the node's path from the root, so deepening a
-tree (same seed, larger depth) reproduces the shallow tree exactly.
-Type-I counts invert the laws module's positive-Poisson table at any c.
+sample_pgw_star keys each node's draws by its path from the root (the
+counter-based rng.child_key and rng.node_uniform, no Generator per node),
+so deepening a tree (same seed, larger depth) reproduces the shallow tree
+exactly.  Type-I counts invert the laws module's positive-Poisson table at
+any c, type-F counts its Poisson table.  sample_pgw draws one Poisson vector
+per level from its substream.  Both samplers collect per-node lists and
+build the arena once at the end (RootedTree.from_parents).
 """
 
 from __future__ import annotations
@@ -31,11 +35,13 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter, deque
+from functools import lru_cache
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
-from .laws import positive_poisson_cdf, quantile
-from .rng import substream
+from .laws import poisson_cdf, positive_poisson_cdf, quantile
+from .rng import child_key, derive_seed, node_uniform, substream
 
 __all__ = [
     "TYPE_UNTYPED",
@@ -65,7 +71,9 @@ class RootedTree:
 
     Parallel per-node lists:
       parent[v]   index of the parent, -1 for the root
-      children[v] list of child indices
+      children[v] read-only sequence of child indices: a list for trees
+                  grown by add_node, a range for trees built in one piece
+                  by from_parents
       ntype[v]    TYPE_I / TYPE_F / TYPE_UNTYPED
       depth[v]    distance from the root
       open_[v]    True while v's child counts have not been sampled
@@ -78,7 +86,7 @@ class RootedTree:
 
     def __init__(self):
         self.parent: list[int] = []
-        self.children: list[list[int]] = []
+        self.children: list = []
         self.ntype: list[int] = []
         self.depth: list[int] = []
         self.open_: list[bool] = []
@@ -87,6 +95,17 @@ class RootedTree:
         self.subtree_size: list[float] | None = None
         self.capped: bool = False
         self.bush_resamples: int = 0
+
+    @classmethod
+    def from_parents(cls, parent, depth, ntype, open_, first,
+                     count) -> RootedTree:
+        """Arena built in one piece from per-node lists, which it keeps: the
+        children of v are the nodes first[v] .. first[v] + count[v] - 1,
+        held as a range.  add_node cannot extend such a tree."""
+        t = cls()
+        t.parent, t.depth, t.ntype, t.open_ = parent, depth, ntype, open_
+        t.children = list(map(range, first, map(int.__add__, first, count)))
+        return t
 
     def add_node(self, parent: int, ntype: int = TYPE_UNTYPED,
                  open_: bool = True) -> int:
@@ -156,52 +175,43 @@ def sample_pgw(c: float, node_cap: int, seed: int) -> RootedTree:
     if node_cap < 1:
         raise ValueError(f"node_cap must be >= 1, got {node_cap}")
     rng = substream(seed, "pgw", c)
-    t = RootedTree()
-    t.add_node(-1)
-    level = [0]
-    while level:
-        counts = rng.poisson(c, size=len(level))
-        if len(t) + int(counts.sum()) > node_cap:
-            t.capped = True
-            return t  # nodes in `level` and beyond stay open
-        nxt = []
-        for v, k in zip(level, counts.tolist()):
-            t.open_[v] = False
-            for _ in range(k):
-                nxt.append(t.add_node(v))
-        level = nxt
+    counts = []  # child counts of each expanded level, in breadth-first order
+    width, size, capped = 1, 1, False
+    while width:
+        k = rng.poisson(c, size=width)
+        m = int(k.sum())
+        if size + m > node_cap:
+            capped = True  # this level and beyond stay open
+            break
+        counts.append(k)
+        size += m
+        width = m
+    # nodes are numbered breadth first, so the children of v follow those
+    # of the nodes before v, starting at 1
+    expanded = size - width * capped
+    widths = [len(k) for k in counts] + [width] * capped
+    count = np.concatenate(counts + [np.zeros(width * capped, np.int64)])
+    n_kids = count.tolist()
+    t = RootedTree.from_parents(
+        [-1] + np.repeat(np.arange(size), count).tolist(),
+        list(chain.from_iterable(map(repeat, range(len(widths)), widths))),
+        [TYPE_UNTYPED] * size, [False] * expanded + [True] * (size - expanded),
+        list(accumulate(n_kids[:-1], initial=1)), n_kids)
+    t.capped = capped
     return t
 
 
-def _expand_bush(t: RootedTree, bush_root: int, rate: float, seed: int,
-                 path: tuple) -> None:
-    """Fully sample the type-F subtree at bush_root (subcritical, rate < 1),
-    resampling from scratch in the rare event the per-bush cap is hit."""
-    for attempt in range(64):
-        rng = substream(seed, "bush", path, attempt)
-        created = []
-        stack = [bush_root]
-        t.open_[bush_root] = False
-        ok = True
-        while stack:
-            v = stack.pop()
-            for _ in range(int(rng.poisson(rate))):
-                w = t.add_node(v, TYPE_F, open_=False)
-                created.append(w)
-                stack.append(w)
-            if len(created) > BUSH_NODE_CAP:
-                ok = False
-                break
-        if ok:
-            return
-        # reject: unlink everything below bush_root and retry
-        t.bush_resamples += 1
-        keep = len(t) - len(created)
-        del t.parent[keep:], t.children[keep:], t.ntype[keep:]
-        del t.depth[keep:], t.open_[keep:]
-        t.children[bush_root] = []
-    raise ArithmeticError("bush sampling exceeded the node cap 64 times; "
-                          f"rate {rate} is not subcritical enough")
+@lru_cache(maxsize=64)
+def _star_tables(c: float) -> tuple:
+    """cdf tables of the type-I count Q*_{c theta} and of 1 + the type-F
+    count Q_{cq}."""
+    if c == 1.0:
+        rate_i, rate_f = 0.0, 1.0
+    else:
+        from .analytic import extinction_prob
+        params = extinction_prob(c)
+        rate_i, rate_f = params.ctheta, params.cq
+    return positive_poisson_cdf(rate_i), poisson_cdf(rate_f)
 
 
 def sample_pgw_star(c: float, depth: int, seed: int) -> RootedTree:
@@ -214,32 +224,62 @@ def sample_pgw_star(c: float, depth: int, seed: int) -> RootedTree:
         raise ValueError(f"sample_pgw_star requires finite c >= 1, got {c}")
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    if c == 1.0:
-        rate_i, rate_f = 0.0, 1.0
-    else:
-        from .analytic import extinction_prob
-        params = extinction_prob(c)
-        rate_i, rate_f = params.ctheta, params.cq
-    qcdf = positive_poisson_cdf(rate_i)
+    qcdf, fcdf = _star_tables(c)
 
-    t = RootedTree()
-    t.truncation_depth = depth
-    t.add_node(-1, TYPE_I)
-    stack = [(0, ())]  # (type-I node, path)
+    parent, ntype, dep, open_ = [-1], [TYPE_I], [0], [False]
+    first, count = [0], [0]
+    resamples = 0
+
+    def grow(v: int, n_i: int, n_f: int) -> int:
+        """Append n_i type-I and then n_f type-F children to v, the type-I
+        ones open past the horizon; returns the index of the first."""
+        w, n = len(parent), n_i + n_f
+        first[v], count[v] = w, n
+        parent.extend([v] * n)
+        ntype.extend([TYPE_I] * n_i + [TYPE_F] * n_f)
+        open_.extend([dep[v] >= depth] * n_i + [False] * n_f)
+        dep.extend([dep[v] + 1] * n)
+        first.extend([0] * n)
+        count.extend([0] * n)
+        return w
+
+    def bush(b: int, key: int) -> None:
+        """Sample the type-F subtree below b in full (a.s. finite: the bush
+        rate cq is at most 1); attempt a draws from key child_key(key, a),
+        and an attempt that passes BUSH_NODE_CAP nodes is discarded and
+        counted."""
+        nonlocal resamples
+        keep = len(parent)
+        for attempt in range(64):
+            stack = [(b, child_key(key, attempt))]
+            while stack and len(parent) - keep <= BUSH_NODE_CAP:
+                v, k = stack.pop()
+                n = quantile(fcdf, node_uniform(k, 0)) - 1
+                if n:
+                    w = grow(v, 0, n)
+                    stack.extend((w + i, child_key(k, i)) for i in range(n))
+            if len(parent) - keep <= BUSH_NODE_CAP:
+                return
+            resamples += 1
+            for arr in (parent, ntype, dep, open_, first, count):
+                del arr[keep:]
+            first[b] = count[b] = 0
+        raise ArithmeticError("bush sampling exceeded the node cap 64 times "
+                              f"at c = {c}")
+
+    stack = [(0, derive_seed(seed, "pgwstar"))]  # (type-I node, key)
     while stack:
-        v, path = stack.pop()
-        if t.depth[v] > depth:
-            continue  # frontier stub, stays open
-        rng = substream(seed, "pgwstar", path)
-        n_i = quantile(qcdf, rng.random())
-        n_f = int(rng.poisson(rate_f))
-        t.open_[v] = False
-        for i in range(n_i):
-            w = t.add_node(v, TYPE_I)
-            stack.append((w, path + (i,)))
-        for j in range(n_f):
-            w = t.add_node(v, TYPE_F)
-            _expand_bush(t, w, rate_f, seed, path + (n_i + j,))
+        v, key = stack.pop()
+        n_i = quantile(qcdf, node_uniform(key, 0))
+        n_f = quantile(fcdf, node_uniform(key, 1)) - 1
+        w = grow(v, n_i, n_f)
+        for j in range(n_i, n_i + n_f):
+            bush(w + j, child_key(key, j))
+        if dep[v] < depth:
+            stack.extend((w + i, child_key(key, i)) for i in range(n_i))
+    t = RootedTree.from_parents(parent, dep, ntype, open_, first, count)
+    t.truncation_depth = depth
+    t.bush_resamples = resamples
     return t
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gwtree import extinction_prob
 from gwtree.laws import (cdf_table, log_borel, log_bush_excess, log_split,
-                         positive_poisson_cdf, quantile)
+                         poisson_cdf, positive_poisson_cdf, quantile)
 
 
 def table_mean(tab):
@@ -26,6 +26,17 @@ class TestPositivePoissonTable:
         want = rate / -math.expm1(-rate) if rate else 1.0
         assert table_mean(tab) == pytest.approx(want, rel=1e-9)
         assert all(a <= b for a, b in zip(tab, tab[1:]))
+        assert tab[-1] == 1.0
+
+
+class TestPoissonTable:
+    @given(st.floats(min_value=1e-6, max_value=1.0))
+    @example(0.0)  # the c -> infinity limit of the bush rate c q
+    @settings(max_examples=100, deadline=None)
+    def test_mean_and_shape(self, rate):
+        tab = poisson_cdf(rate)  # of 1 + Q_rate
+        assert table_mean(tab) == pytest.approx(1.0 + rate, rel=1e-9)
+        assert tab[0] == pytest.approx(math.exp(-rate), rel=1e-12)
         assert tab[-1] == 1.0
 
 

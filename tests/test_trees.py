@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from gwtree import (TYPE_F, TYPE_I, RootedTree, borel_pmf, degree_pmf,
                     extinction_prob, sample_pgw, sample_pgw_star,
                     sample_uniform_rooted_tree, subtree_stats, tree_from_text,
-                    tree_to_text)
-from gwtree.rng import derive_seed
+                    tree_to_text, trees)
+from gwtree.rng import child_key, derive_seed, node_uniform, substream
 
 INF = math.inf
 
@@ -22,7 +25,53 @@ def make_path(n):
     return t
 
 
+def reference_pgw(c, node_cap, seed):
+    """sample_pgw grown node by node with add_node, from the same draws."""
+    rng = substream(seed, "pgw", c)
+    t = RootedTree()
+    t.add_node(-1)
+    level = [0]
+    while level:
+        counts = rng.poisson(c, size=len(level))
+        if len(t) + int(counts.sum()) > node_cap:
+            t.capped = True
+            return t
+        nxt = []
+        for v, k in zip(level, counts.tolist()):
+            t.open_[v] = False
+            for _ in range(k):
+                nxt.append(t.add_node(v))
+        level = nxt
+    return t
+
+
+class TestPathKeyedDraws:
+    def test_uniforms_pass_chi_square(self):
+        root = derive_seed(0, "chi2")
+        u = np.array([node_uniform(child_key(root, i), i % 3)
+                      for i in range(1 << 16)])
+        assert u.min() >= 0.0 and u.max() < 1.0
+        counts = np.bincount((u * 64).astype(int), minlength=64)
+        expect = len(u) / 64
+        stat = float(((counts - expect) ** 2 / expect).sum())
+        assert chi2.sf(stat, 63) > 1e-4, stat
+
+    def test_child_keys_are_distinct(self):
+        key = derive_seed(1, "keys")
+        kids = [child_key(key, i) for i in range(10_000)]
+        assert len(set(kids)) == len(kids)
+        assert key not in kids
+
+
 class TestSamplePgw:
+    @pytest.mark.parametrize("cap", [50, 5000])
+    def test_matches_per_node_reference(self, cap):
+        for s in range(300):
+            t, ref = sample_pgw(2.0, cap, s), reference_pgw(2.0, cap, s)
+            assert (t.parent, t.depth, t.open_, t.capped) == (
+                ref.parent, ref.depth, ref.open_, ref.capped), s
+            assert [list(ch) for ch in t.children] == ref.children, s
+
     def test_size_law_matches_borel(self):
         n = 100_000
         sizes = np.zeros(n, int)
@@ -149,6 +198,50 @@ class TestSamplePgwStar:
         prods = (n1 - n1.mean()) * (ninf - ninf.mean())
         se = float(prods.std(ddof=1) / math.sqrt(n))
         assert abs(cov) <= 4.0 * se
+
+    def test_bush_resample_path(self, monkeypatch):
+        # a Poisson(1) bush passes a cap of 2 nodes below its root about
+        # half the time
+        monkeypatch.setattr(trees, "BUSH_NODE_CAP", 2)
+        t = sample_pgw_star(1.0, 20, seed=8)
+        assert t.bush_resamples > 0
+        t.validate()
+        for v in range(len(t)):
+            for w in t.children[v]:
+                if t.ntype[v] == TYPE_I and t.ntype[w] == TYPE_F:
+                    assert len(_subtree_nodes(t, w)) <= 3
+        again = sample_pgw_star(1.0, 20, seed=8)
+        assert tree_to_text(again) == tree_to_text(t)
+
+    @given(c=st.floats(min_value=1.0, max_value=1e3),
+           seed=st.integers(min_value=0, max_value=(1 << 63) - 1),
+           depth=st.integers(min_value=0, max_value=2))
+    @example(c=1.0, seed=0, depth=2)
+    @example(c=1e3, seed=(1 << 63) - 1, depth=2)
+    @settings(max_examples=30, deadline=None)
+    def test_valid_and_invariant_under_deepening(self, c, seed, depth):
+        # the deeper tree has about (c theta)^(depth + 2) nodes; depth is
+        # lowered to keep that below 1e5 where it can (c = 1e3 still gives
+        # 1e6 at depth 0)
+        growth = c * extinction_prob(c).theta if c > 1.0 else 1.0
+        while depth and growth ** (depth + 2) > 1e5:
+            depth -= 1
+        t = sample_pgw_star(c, depth, seed)
+        t.validate()
+        deep = sample_pgw_star(c, depth + 1, seed)
+        # drop what grows below the type-I nodes expanded only in deep
+        p, a, d = (np.array(x) for x in (deep.parent, deep.ntype, deep.depth))
+        anc = np.arange(len(deep))  # ancestor at depth + 1, for deeper nodes
+        while (d[anc] > depth + 1).any():
+            anc = np.where(d[anc] > depth + 1, p[anc], anc)
+        kept = np.flatnonzero((d <= depth + 1) | (a[anc] != TYPE_I))
+        index = np.full(len(deep) + 1, -1)  # index[-1] maps the root's parent
+        index[kept] = np.arange(len(kept))
+        assert index[p[kept]].tolist() == t.parent
+        assert a[kept].tolist() == t.ntype
+        assert d[kept].tolist() == t.depth
+        was_open = np.array(deep.open_) | ((a == TYPE_I) & (d == depth + 1))
+        assert was_open[kept].tolist() == t.open_
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
