@@ -34,25 +34,30 @@ bushes have no structural counterpart on the mu side (their domination
 witness is the infinite subtree size of the image).
 Its tables come from laws.cdf_table; below lam of about 1.02 the bush-size
 tables cannot close and _CoupledSampler raises ArithmeticError.
+
+A pair takes its draws in traversal order from one buffer of uniforms
+refilled from substream (seed, "couple", lam, mu): counts and sizes invert
+their tables, the thinning is W Bernoulli trials, and a size-k bush shape is
+k - 2 sequence draws int(u k) and a root int(u k) (none for k <= 2).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 import numpy as np
 from mpmath import mp, mpf
 
 from .analytic import alpha, extinction_prob
 from .laws import (cdf_table, log_borel, log_bush_excess, log_conv,
-                   log_split, positive_poisson_cdf, quantile)
+                   log_split, poisson_cdf, positive_poisson_cdf, quantile)
 from .rng import substream
-from .trees import (TYPE_F, TYPE_I, RootedTree, _uniform_rooted_tree,
-                    subtree_stats)
+from .trees import TYPE_F, TYPE_I, RootedTree, _rooted_shape, subtree_stats
 
 __all__ = [
     "TailReport",
@@ -255,14 +260,15 @@ class CoupledPair:
         coupled (type-I skeleton pairs and shared-bush pairs).  Extra-bush
         roots map to type-I vertices and are witnessed by N = inf at the
         parent level, not by a recursive child-list comparison."""
-        lo_n, hi_n = _sizes(self.lo), _sizes(self.hi)
+        lo, hi = self.lo, self.hi
+        lo_n, hi_n = _sizes(lo), _sizes(hi)
         for u, v in self.node_map.items():
-            if self.lo.ntype[u] != self.hi.ntype[v]:
+            if lo.ntype[u] != hi.ntype[v]:
                 continue  # extra-bush root onto spare infinite child
-            if self.lo.open_[u]:
-                continue  # frontier stub
-            if not _le1_sorted([lo_n[w] for w in self.lo.children[u]],
-                               [hi_n[w] for w in self.hi.children[v]]):
+            if lo.open_[u] or not lo.children[u]:
+                continue  # frontier stub, or a leaf: no child to match
+            if not _le1_sorted(map(lo_n.__getitem__, lo.children[u]),
+                               map(hi_n.__getitem__, hi.children[v])):
                 return False
         return True
 
@@ -276,11 +282,9 @@ def _sizes(t: RootedTree) -> list[float]:
 def _le1_sorted(lo_sizes, hi_sizes) -> bool:
     # Greedy matching on descending-sorted lists is exact for threshold
     # constraints N(i(v)) >= N(v) (standard exchange argument).
-    if len(lo_sizes) > len(hi_sizes):
-        return False
     lo_s = sorted(lo_sizes, reverse=True)
     hi_s = sorted(hi_sizes, reverse=True)
-    return all(x <= y for x, y in zip(lo_s, hi_s))
+    return len(lo_s) <= len(hi_s) and all(map(operator.le, lo_s, hi_s))
 
 
 def check_le1(lo: RootedTree, hi: RootedTree) -> bool:
@@ -289,6 +293,49 @@ def check_le1(lo: RootedTree, hi: RootedTree) -> bool:
     (filled on demand)."""
     return _le1_sorted([_sizes(lo)[w] for w in lo.children[lo.root]],
                        [_sizes(hi)[w] for w in hi.children[hi.root]])
+
+
+_LEAF = range(0)
+_SMALL_SHAPES = {1: ([-1], [0], [1], [0]), 2: ([-1, 0], [0, 1], [1, 2], [1, 0])}
+# keyed by (seq as a tuple, k, root); its shapes are shared, and only read
+_cached_shape = lru_cache(maxsize=4096)(_rooted_shape)
+
+
+def _bush_shape(k: int, draw) -> tuple[list[int], ...]:
+    """A uniform rooted tree on k nodes as _rooted_shape lists, from k - 2
+    sequence entries and then the root label, each int(u * k)."""
+    if k in _SMALL_SHAPES:
+        return _SMALL_SHAPES[k]
+    seq = tuple([int(draw() * k) for _ in range(k - 2)])
+    return _cached_shape(seq, k, int(draw() * k))
+
+
+def _add(t: RootedTree, p: int, n: int, more: int) -> int:
+    """Give node p n new childless type-I children, held as a range, or as a
+    list when more children will be appended; returns the id of the first."""
+    parent, depth, ntype, children = t.parent, t.depth, t.ntype, t.children
+    w, d = len(parent), depth[p] + 1
+    for _ in range(n):
+        parent.append(p)
+        depth.append(d)
+        ntype.append(TYPE_I)
+        children.append(_LEAF)
+    children[p] = list(range(w, w + n)) if more else range(w, w + n)
+    return w
+
+
+def _graft(t: RootedTree, p: int, shape) -> int:
+    """Append a type-F bush of the given shape to the child list of node p,
+    its root first and its interior right after; returns the root's id."""
+    parent, depth, ntype, children = t.parent, t.depth, t.ntype, t.children
+    w, d = len(parent), depth[p] + 1
+    children[p].append(w)
+    for q, e, f, c in zip(*shape):
+        parent.append(w + q if q >= 0 else p)
+        depth.append(d + e)
+        ntype.append(TYPE_F)
+        children.append(range(w + f, w + f + c) if c else _LEAF)
+    return w
 
 
 class _CoupledSampler:
@@ -307,101 +354,78 @@ class _CoupledSampler:
         self.thin_p = self.g / self.alpha_star  # in (0, 1)
         self.cdf_loplus, self.cdf_ihi = _dominated_cdf_pair(
             self.rate_i_lo, self.alpha_star, self.rate_i_hi)
+        self.shared_count_cdf = poisson_cdf(self.rate_f_hi)
         self.shared_size_cdf = cdf_table(log_borel, self.rate_f_hi)
         # sizes of lam-only bushes: pmf_k = (m_k(lam) - m_k(mu)) / g
         self.extra_size_cdf = cdf_table(log_bush_excess, lam, mu)
         self.qstar_hi_cdf = positive_poisson_cdf(self.rate_i_hi)
 
-    def _graft_uniform_bush(self, trees_nodes, size: int, rng) -> list[list[int]]:
-        """Attach the same uniform rooted tree of the given size below each
-        (tree, node) in trees_nodes; returns the per-tree lists of created
-        node ids (bush root included), in identical structural order."""
-        proto = _uniform_rooted_tree(size, rng)
-        out = []
-        for tree, at in trees_nodes:
-            ids = [at]
-            tree.open_[at] = False
-            for v in range(1, len(proto)):
-                ids.append(tree.add_node(ids[proto.parent[v]], TYPE_F,
-                                         open_=False))
-            out.append(ids)
-        return out
-
     def sample(self, depth: int, seed: int) -> CoupledPair:
-        # one substream per pair, consumed in fixed traversal order
         rng = substream(seed, "couple", self.lam, self.mu)
+        draw = chain.from_iterable(  # its uniforms in order, 256 at a time
+            iter(lambda: rng.random(256).tolist(), None)).__next__
         lo, hi = RootedTree(), RootedTree()
-        lo.truncation_depth = depth
-        hi.truncation_depth = depth
-        lo.add_node(-1, TYPE_I)
-        hi.add_node(-1, TYPE_I)
+        for t in (lo, hi):  # open_ is filled in at the end
+            t.parent, t.depth, t.ntype, t.children = [-1], [0], [TYPE_I], [_LEAF]
         node_map = {0: 0}
         root_couple = None
         stack = [(0, 0)]
         while stack:
             u, v = stack.pop()
-            if lo.depth[u] > depth:
-                continue  # both stubs stay open
-            unif = rng.random()
+            unif = draw()
             s_plus = quantile(self.cdf_loplus, unif)
             h = quantile(self.cdf_ihi, unif)  # h >= s_plus
             a = quantile(cdf_table(log_split, self.rate_i_lo, self.alpha_star,
-                                   s_plus), rng.random())
-            w = s_plus - a
-            z_extra = int(rng.binomial(w, self.thin_p)) if w else 0
-            z_shared = int(rng.poisson(self.rate_f_hi))
-            shared_sizes = [quantile(self.shared_size_cdf, rng.random())
+                                   s_plus), draw())
+            z_extra = sum([draw() < self.thin_p for _ in range(s_plus - a)])
+            z_shared = quantile(self.shared_count_cdf, draw()) - 1
+            shared_sizes = [quantile(self.shared_size_cdf, draw())
                             for _ in range(z_shared)]
-            extra_sizes = [quantile(self.extra_size_cdf, rng.random())
+            extra_sizes = [quantile(self.extra_size_cdf, draw())
                            for _ in range(z_extra)]
-            lo.open_[u] = False
-            hi.open_[v] = False
-            for _ in range(a):
-                cu = lo.add_node(u, TYPE_I)
-                cv = hi.add_node(v, TYPE_I)
-                node_map[cu] = cv
-                stack.append((cu, cv))
-            spare = []
-            for _ in range(h - a):
-                cv = hi.add_node(v, TYPE_I)
-                spare.append(cv)
-                self._expand_marginal_hi(hi, cv, depth, rng)
+            cu = _add(lo, u, a, z_shared + z_extra)
+            cv = _add(hi, v, h, z_shared)  # a matched, then h - a spare
+            pairs = list(zip(range(cu, cu + a), range(cv, cv + a)))
+            node_map.update(pairs)
+            spare = range(cv + a, cv + h)
+            if lo.depth[u] < depth:  # else the children stay open stubs
+                stack.extend(pairs)
+                for x in spare:
+                    self._expand_marginal_hi(hi, x, depth, draw)
             for size in shared_sizes:
-                bu = lo.add_node(u, TYPE_F)
-                bv = hi.add_node(v, TYPE_F)
-                ids_lo, ids_hi = self._graft_uniform_bush(
-                    [(lo, bu), (hi, bv)], size, rng)
-                node_map.update(zip(ids_lo, ids_hi))
+                shape = _bush_shape(size, draw)
+                bu, bv = _graft(lo, u, shape), _graft(hi, v, shape)
+                node_map.update(zip(range(bu, bu + size), range(bv, bv + size)))
             for j, size in enumerate(extra_sizes):
-                bu = lo.add_node(u, TYPE_F)
-                self._graft_uniform_bush([(lo, bu)], size, rng)
-                node_map[bu] = spare[j]  # z_extra <= w <= h - a
+                # z_extra <= s_plus - a <= h - a spare children
+                node_map[_graft(lo, u, _bush_shape(size, draw))] = spare[j]
             if u == 0:
                 root_couple = OffspringCouple(
                     n_fin_lo=dict(Counter(shared_sizes + extra_sizes)),
                     n_fin_hi=dict(Counter(shared_sizes)),
                     n_inf_lo=a, n_inf_hi=h)
+        for t in (lo, hi):
+            t.open_ = [ty == TYPE_I and d > depth
+                       for ty, d in zip(t.ntype, t.depth)]
+            t.truncation_depth = depth
         return CoupledPair(lo, hi, node_map, root_couple,
                            self.lam, self.mu, depth, seed)
 
-    def _expand_marginal_hi(self, tree: RootedTree, node: int, depth: int,
-                            rng) -> None:
+    def _expand_marginal_hi(self, t: RootedTree, node: int, depth: int,
+                            draw) -> None:
         """Marginal two-type expansion of an unpaired hi subtree down to the
         horizon (same law as sample_pgw_star restricted to a subtree)."""
         stack = [node]
         while stack:
             x = stack.pop()
-            if tree.depth[x] > depth:
-                continue
-            n_i = quantile(self.qstar_hi_cdf, rng.random())
-            n_f = int(rng.poisson(self.rate_f_hi))
-            tree.open_[x] = False
-            for _ in range(n_i):
-                stack.append(tree.add_node(x, TYPE_I))
+            n_i = quantile(self.qstar_hi_cdf, draw())
+            n_f = quantile(self.shared_count_cdf, draw()) - 1
+            w = _add(t, x, n_i, n_f)
+            if t.depth[x] < depth:
+                stack.extend(range(w, w + n_i))
             for _ in range(n_f):
-                bw = tree.add_node(x, TYPE_F)
-                size = quantile(self.shared_size_cdf, rng.random())
-                self._graft_uniform_bush([(tree, bw)], size, rng)
+                _graft(t, x, _bush_shape(
+                    quantile(self.shared_size_cdf, draw()), draw))
 
 
 @lru_cache(maxsize=16)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter, deque
+from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 
@@ -73,7 +73,7 @@ class RootedTree:
       parent[v]   index of the parent, -1 for the root
       children[v] read-only sequence of child indices: a list for trees
                   grown by add_node, a range for trees built in one piece
-                  by from_parents
+                  by from_parents; coupled trees hold both
       ntype[v]    TYPE_I / TYPE_F / TYPE_UNTYPED
       depth[v]    distance from the root
       open_[v]    True while v's child counts have not been sampled
@@ -204,14 +204,14 @@ def sample_pgw(c: float, node_cap: int, seed: int) -> RootedTree:
 @lru_cache(maxsize=64)
 def _star_tables(c: float) -> tuple:
     """cdf tables of the type-I count Q*_{c theta} and of 1 + the type-F
-    count Q_{cq}."""
+    count Q_{cq}, and the rate cq."""
     if c == 1.0:
         rate_i, rate_f = 0.0, 1.0
     else:
         from .analytic import extinction_prob
         params = extinction_prob(c)
         rate_i, rate_f = params.ctheta, params.cq
-    return positive_poisson_cdf(rate_i), poisson_cdf(rate_f)
+    return positive_poisson_cdf(rate_i), poisson_cdf(rate_f), rate_f
 
 
 def sample_pgw_star(c: float, depth: int, seed: int) -> RootedTree:
@@ -224,7 +224,7 @@ def sample_pgw_star(c: float, depth: int, seed: int) -> RootedTree:
         raise ValueError(f"sample_pgw_star requires finite c >= 1, got {c}")
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    qcdf, fcdf = _star_tables(c)
+    qcdf, fcdf, _ = _star_tables(c)
 
     parent, ntype, dep, open_ = [-1], [TYPE_I], [0], [False]
     first, count = [0], [0]
@@ -286,6 +286,8 @@ def sample_pgw_star(c: float, depth: int, seed: int) -> RootedTree:
 def _decode_tree_sequence(seq, n: int) -> list[tuple[int, int]]:
     """Decode a length n-2 sequence over {0..n-1} into the edge list of the
     corresponding labeled tree (smallest-leaf rule)."""
+    if n == 1:
+        return []
     deg = [1] * n
     for x in seq:
         deg[x] += 1
@@ -304,30 +306,35 @@ def _decode_tree_sequence(seq, n: int) -> list[tuple[int, int]]:
     return edges
 
 
-def _uniform_rooted_tree(n: int, rng: np.random.Generator) -> RootedTree:
-    t = RootedTree()
-    t.add_node(-1, open_=False)
-    if n == 1:
-        return t
-    seq = rng.integers(0, n, size=max(0, n - 2)).tolist()
-    edges = _decode_tree_sequence(seq, n)
-    root_label = int(rng.integers(n))
+def _rooted_shape(seq, n: int, root: int) -> tuple[list[int], ...]:
+    """Per-node lists (parent, depth, first, count) of the labeled tree
+    decoded from seq and rooted at the label root, labels dropped: nodes are
+    numbered breadth first, so the children of v are first[v] ..
+    first[v] + count[v] - 1."""
     adj = [[] for _ in range(n)]
-    for a, b in edges:
+    for a, b in _decode_tree_sequence(seq, n):
         adj[a].append(b)
         adj[b].append(a)
-    # BFS from the chosen root, dropping labels
-    idx = {root_label: 0}
-    queue = deque([root_label])
-    while queue:
-        lab = queue.popleft()
-        v = idx[lab]
-        t.open_[v] = False
+    seen = [False] * n
+    seen[root] = True
+    order, parent, depth, first, count = [root], [-1], [0], [], []
+    for v, lab in enumerate(order):  # a breadth-first queue, read as it grows
+        first.append(len(order))
         for nb in adj[lab]:
-            if nb not in idx:
-                idx[nb] = t.add_node(v, open_=False)
-                queue.append(nb)
-    return t
+            if not seen[nb]:
+                seen[nb] = True
+                order.append(nb)
+                parent.append(v)
+                depth.append(depth[v] + 1)
+        count.append(len(order) - first[v])
+    return parent, depth, first, count
+
+
+def _uniform_rooted_tree(n: int, rng: np.random.Generator) -> RootedTree:
+    seq = rng.integers(0, n, size=max(0, n - 2)).tolist()
+    parent, depth, first, count = _rooted_shape(seq, n, int(rng.integers(n)))
+    return RootedTree.from_parents(parent, depth, [TYPE_UNTYPED] * n,
+                                   [False] * n, first, count)
 
 
 def sample_uniform_rooted_tree(n: int, seed: int) -> RootedTree:

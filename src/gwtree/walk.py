@@ -36,7 +36,7 @@ from .analytic import expected_log_degree, extinction_prob
 from .laws import positive_poisson_cdf, quantile
 from .reports import EstimateReport
 from .rng import substream
-from .trees import TYPE_I, RootedTree
+from .trees import TYPE_I, RootedTree, _star_tables
 
 __all__ = [
     "ReturnProfile",
@@ -162,20 +162,15 @@ def killed_walk_visits(t: RootedTree, s: float, seed: int,
     """
     if not (0.0 < s < 1.0):
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    spec_d = t.specified_depth()
-    if grow is None and spec_d < required_depth_for_killed_walk(s):
-        raise ValueError(
-            f"tree specified to depth {spec_d} but killed walk at s={s} "
-            f"needs depth >= {required_depth_for_killed_walk(s)} "
-            "(or pass grow=c for lazy extension)")
-    rates = None
-    if grow is not None:
-        if grow == 1.0:
-            rates = (0.0, 1.0)
-        else:
-            p = extinction_prob(grow)
-            rates = (p.ctheta, p.cq)
-        qcdf = positive_poisson_cdf(rates[0])
+    if grow is None:
+        spec_d = t.specified_depth()
+        if spec_d < required_depth_for_killed_walk(s):
+            raise ValueError(
+                f"tree specified to depth {spec_d} but killed walk at s={s} "
+                f"needs depth >= {required_depth_for_killed_walk(s)} "
+                "(or pass grow=c for lazy extension)")
+    else:
+        qcdf, _, rate_f = _star_tables(grow)
 
     rng = substream(seed, "killedwalk")
     # arena nodes are int keys, lazily grown nodes are tuples (base, i, j, ...);
@@ -190,13 +185,13 @@ def killed_walk_visits(t: RootedTree, s: float, seed: int,
         else:
             par = key[:-1] if len(key) > 2 else key[0]
         if key not in grown:
-            if rates is None:
+            if grow is None:
                 raise RuntimeError("walk reached the frontier of a tree "
                                    "sampled without lazy growth")
             is_i = (t.ntype[key] == TYPE_I if isinstance(key, int)
                     else key[-1] < grown[par][1])
             n_i = quantile(qcdf, rng.random()) if is_i else 0
-            n_f = int(rng.poisson(rates[1]))
+            n_f = int(rng.poisson(rate_f))
             base = key if isinstance(key, tuple) else (key,)
             grown[key] = ([base + (i,) for i in range(n_i + n_f)], n_i)
         return grown[key][0], par

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2_contingency
 
-from gwtree import (alpha, check_le1, conv_pmf, degree_pmf, extinction_prob,
-                    positive_poisson_pmf, sample_coupled_trees,
-                    sample_dominated_offspring,
-                    sample_dominated_offspring_many, subtree_stats,
-                    verify_tail_domination)
+from gwtree import (TYPE_F, TYPE_I, alpha, check_le1, conv_pmf, degree_pmf,
+                    extinction_prob, positive_poisson_pmf,
+                    sample_coupled_trees, sample_dominated_offspring,
+                    sample_dominated_offspring_many, sample_pgw_star,
+                    subtree_stats, verify_tail_domination)
+from gwtree.domination import _bush_shape
 from gwtree.rng import derive_seed
 from gwtree.trees import RootedTree
 
@@ -256,3 +258,121 @@ class TestCoupledTrees:
             sample_coupled_trees(2.0, 1.5, 3, seed=0)
         with pytest.raises(ValueError):
             sample_coupled_trees(0.9, 1.5, 3, seed=0)
+
+
+def two_sample_pvalue(x, y):
+    """Chi-square two-sample p-value on bins (edges[i-1], edges[i]] cut at
+    the pooled deciles; empty bins are dropped."""
+    pooled = np.concatenate([x, y])
+    edges = np.unique(np.quantile(pooled, np.linspace(0.1, 0.9, 9)))
+    table = np.array([np.bincount(np.searchsorted(edges, z),
+                                  minlength=len(edges) + 1) for z in (x, y)])
+    return chi2_contingency(table[:, table.sum(axis=0) > 0]).pvalue
+
+
+class TestCoupledLaw:
+    def test_marginals_match_sample_pgw_star(self):
+        # each side of a depth-2 pair has the law of sample_pgw_star at its
+        # own parameter: node counts and root degrees, two-sample chi-square
+        lam, mu, n = 1.5, 2.0, 4000
+        pairs = [sample_coupled_trees(lam, mu, 2, derive_seed(12, i))
+                 for i in range(n)]
+        for side, c in (("lo", lam), ("hi", mu)):
+            coupled = [getattr(p, side) for p in pairs]
+            marginal = [sample_pgw_star(c, 2, derive_seed(13, c, i))
+                        for i in range(n)]
+            for stat in (len, lambda t: len(t.children[t.root])):
+                pv = two_sample_pvalue(np.array([stat(t) for t in coupled]),
+                                       np.array([stat(t) for t in marginal]))
+                assert pv >= 1e-4, (side, pv)
+
+
+def shape_key(parent):
+    """Sorted depths of a rooted tree on at most 4 nodes, which tell its
+    shape apart."""
+    depth = [0] * len(parent)
+    for v in range(1, len(parent)):
+        assert 0 <= parent[v] < v
+        depth[v] = depth[parent[v]] + 1
+    return tuple(sorted(depth))
+
+
+class TestBushShape:
+    def shape_law(self, k):
+        """Exact shape law of _bush_shape over all k^(k-1) equally likely
+        draw sequences (each draw at the centre of its cell)."""
+        law = {}
+        for cells in itertools.product(range(k), repeat=k - 1):
+            draws = iter([(j + 0.5) / k for j in cells])
+            parent, depth, first, count = _bush_shape(k, draws.__next__)
+            assert next(draws, None) is None  # k - 1 draws, no more
+            key = shape_key(parent)
+            assert tuple(sorted(depth)) == key
+            for j in range(k):
+                assert list(range(first[j], first[j] + count[j])) == [
+                    v for v in range(k) if parent[v] == j]
+            law[key] = law.get(key, 0) + 1
+        return {key: cnt / k ** (k - 1) for key, cnt in law.items()}
+
+    def test_small_sizes_draw_nothing(self):
+        def no_draw():
+            raise AssertionError("drew a uniform")
+        assert _bush_shape(1, no_draw)[:2] == ([-1], [0])
+        assert _bush_shape(2, no_draw)[:2] == ([-1, 0], [0, 1])
+
+    def test_three_nodes(self):
+        assert self.shape_law(3) == {(0, 1, 1): 1 / 3, (0, 1, 2): 2 / 3}
+
+    def test_four_nodes(self):
+        assert self.shape_law(4) == {
+            (0, 1, 2, 3): 24 / 64,  # path rooted at an end
+            (0, 1, 1, 2): 24 / 64,  # path rooted inside
+            (0, 1, 1, 1): 4 / 64,   # star rooted at its centre
+            (0, 1, 2, 2): 12 / 64,  # star rooted at a leaf
+        }
+
+
+def pair_with(predicate, depth=3):
+    """The first pair at (1.5, 2.0) for which predicate(pair) is truthy,
+    and its value."""
+    for i in range(200):
+        pair = sample_coupled_trees(1.5, 2.0, depth, derive_seed(14, i))
+        found = predicate(pair)
+        if found:
+            return pair, found
+    raise AssertionError("no such pair in 200 seeds")
+
+
+class TestAuditRejections:
+    def test_map_entry_redirected_to_non_child(self):
+        # an expanded type-I child of the root sent to a hi frontier stub
+        def target(pair):
+            lo, hi = pair.lo, pair.hi
+            images = set(pair.node_map.values())
+            u = next((u for u in lo.children[0] if lo.ntype[u] == TYPE_I
+                      and not lo.open_[u]), None)
+            v = next((v for v in range(len(hi)) if hi.open_[v]
+                      and v not in images), None)
+            return u is not None and v is not None and (u, v)
+        pair, (u, v) = pair_with(target)
+        assert pair.audit_le1()
+        pair.node_map[u] = v
+        with pytest.raises(ValueError, match="parent"):
+            pair.validate_embedding()
+        assert not pair.audit_le1()
+
+    def test_child_removed_from_shared_bush(self):
+        def target(pair):
+            return next(((u, v) for u, v in pair.node_map.items()
+                         if pair.lo.ntype[u] == TYPE_F
+                         and pair.hi.ntype[v] == TYPE_F
+                         and pair.hi.children[v]), None)
+        pair, (u, v) = pair_with(target)
+        pair.validate_embedding()
+        assert pair.audit_le1()
+        hi = pair.hi
+        hi.children[v] = list(hi.children[v])[1:]
+        hi.subtree_size = None  # recomputed from the corrupted children
+        with pytest.raises(ValueError, match="dominance"):
+            pair.validate_embedding()
+        assert not pair.audit_le1()

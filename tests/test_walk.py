@@ -9,7 +9,7 @@ from gwtree import (EstimateReport, estimate_f, estimate_return_integral,
                     expected_log_degree, extinction_prob, green_truncation_bound,
                     green_value, killed_walk_visits, pbar_decay_diagnostic,
                     required_depth_for_killed_walk, return_probs, return_sum,
-                    sample_pgw_star)
+                    sample_coupled_trees, sample_pgw_star)
 from gwtree.rng import derive_seed
 from gwtree.trees import RootedTree
 
@@ -187,6 +187,25 @@ class TestKilledWalk:
 
     def test_complete_tree_needs_no_guard(self):
         assert killed_walk_visits(single_edge(), 0.9, seed=1) >= 1
+
+    def test_shallow_tree_without_growth_raises(self):
+        pair = sample_coupled_trees(1.5, 2.0, 6, seed=3)
+        for t, c in ((pair.lo, 1.5), (pair.hi, 2.0)):
+            with pytest.raises(ValueError, match="grow=c"):
+                killed_walk_visits(t, 0.7, seed=0)
+            assert killed_walk_visits(t, 0.7, seed=0, grow=c) >= 1
+
+    def test_lazy_growth_draws_pinned(self):
+        # pinned visit counts of one fixed tree: the lazy-growth rates and
+        # table, cached per c, must reproduce the walk's draws exactly
+        t = sample_pgw_star(2.0, 3, seed=6)
+        xs = [killed_walk_visits(t, 0.7, derive_seed(5, i), grow=2.0)
+              for i in range(40)]
+        assert xs == [1, 1, 2, 1, 1, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 1,
+                      1, 2, 2, 1, 1, 2, 3, 1, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+                      2, 2]
+        assert sum(killed_walk_visits(t, 0.9, derive_seed(5, i), grow=2.0)
+                   for i in range(2000)) == 4376
 
 
 class TestTwoStepCrossCheck:
