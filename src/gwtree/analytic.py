@@ -172,11 +172,12 @@ def borel_pmf(lam: float, k: int) -> float:
 
 
 def degree_pmf(params: GWParams, k: int) -> float:
-    """Root-degree law r_k = e^{-c} c^k (1 - q^k) / (theta k!) for k >= 1."""
+    """Root-degree law r_k = e^{-c} c^k (1 - q^k) / (theta k!) for k >= 1;
+    1 - q^k is 1 once q underflows to 0.0, past c of about 372.6."""
     if k < 1:
         raise ValueError(f"degree_pmf requires k >= 1, got {k}")
-    return (math.exp(log_poisson(params.c, k))
-            * (-math.expm1(k * math.log(params.q))) / params.theta)
+    survive = -math.expm1(k * math.log(params.q)) if params.q else 1.0
+    return math.exp(log_poisson(params.c, k)) * survive / params.theta
 
 
 def degree_tail(params: GWParams, k: int) -> float:

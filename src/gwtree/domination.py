@@ -44,7 +44,6 @@ k - 2 sequence draws int(u k) and a root int(u k) (none for k <= 2).
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -57,7 +56,7 @@ from .analytic import alpha, extinction_prob
 from .laws import (cdf_table, log_borel, log_bush_excess, log_conv,
                    log_split, poisson_cdf, positive_poisson_cdf, quantile)
 from .rng import substream
-from .trees import TYPE_F, TYPE_I, RootedTree, _rooted_shape, subtree_stats
+from .trees import TYPE_F, TYPE_I, RootedTree, _rooted_shape, _sizes
 
 __all__ = [
     "TailReport",
@@ -240,68 +239,70 @@ class CoupledPair:
     def validate_embedding(self) -> None:
         """Injectivity, root preservation, parent compatibility, and
         subtree-size dominance of the node map; raises on violation."""
-        lo_n, hi_n = _sizes(self.lo), _sizes(self.hi)
-        m = self.node_map
-        if m.get(self.lo.root) != self.hi.root:
+        lo, hi, m = self.lo, self.hi, self.node_map
+        if m.get(lo.root) != hi.root:
             raise ValueError("node map does not send root to root")
-        if len(set(m.values())) != len(m):
+        u, v = (np.fromiter(x, np.int64, len(m)) for x in (m, m.values()))
+        if np.bincount(v).max() > 1:
             raise ValueError("node map is not injective")
-        for u, v in m.items():
-            if u != self.lo.root:
-                pu = self.lo.parent[u]
-                if pu not in m or m[pu] != self.hi.parent[v]:
-                    raise ValueError(
-                        f"parent of image differs from image of parent at {u}")
-            if hi_n[v] < lo_n[u]:
-                raise ValueError(f"subtree size dominance fails at {u}")
+        image = np.full(len(lo) + 1, -2)  # -2: unmapped
+        image[u], image[-1] = v, -1  # index -1: the parent of the root
+        bad_parent = image[lo.parent[u]] != hi.parent[v]
+        bad = bad_parent | (_sizes(hi)[v] < _sizes(lo)[u])
+        if bad.any():
+            i = bad.argmax()
+            what = ("parent of image differs from image of parent"
+                    if bad_parent[i] else "subtree size dominance fails")
+            raise ValueError(f"{what} at {u[i]}")
 
     def audit_le1(self) -> bool:
         """check_le1 at every mapped pair whose two sides are structurally
         coupled (type-I skeleton pairs and shared-bush pairs).  Extra-bush
         roots map to type-I vertices and are witnessed by N = inf at the
         parent level, not by a recursive child-list comparison."""
-        lo, hi = self.lo, self.hi
-        lo_n, hi_n = _sizes(lo), _sizes(hi)
-        for u, v in self.node_map.items():
-            if lo.ntype[u] != hi.ntype[v]:
-                continue  # extra-bush root onto spare infinite child
-            if lo.open_[u] or not lo.children[u]:
-                continue  # frontier stub, or a leaf: no child to match
-            if not _le1_sorted(map(lo_n.__getitem__, lo.children[u]),
-                               map(hi_n.__getitem__, hi.children[v])):
-                return False
-        return True
+        m = self.node_map
+        u, v = (np.fromiter(x, np.int64, len(m)) for x in (m, m.values()))
+        # skip extra-bush roots (onto spare type-I nodes) and frontier stubs
+        keep = (self.lo.ntype[u] == self.hi.ntype[v]) & ~self.lo.open_[u]
+        return _le1(self.lo, self.hi, u[keep], v[keep])
 
 
-def _sizes(t: RootedTree) -> list[float]:
-    if t.subtree_size is None:
-        subtree_stats(t)
-    return t.subtree_size
-
-
-def _le1_sorted(lo_sizes, hi_sizes) -> bool:
-    # Greedy matching on descending-sorted lists is exact for threshold
-    # constraints N(i(v)) >= N(v) (standard exchange argument).
-    lo_s = sorted(lo_sizes, reverse=True)
-    hi_s = sorted(hi_sizes, reverse=True)
-    return len(lo_s) <= len(hi_s) and all(map(operator.le, lo_s, hi_s))
+def _le1(lo: RootedTree, hi: RootedTree, u: np.ndarray, v: np.ndarray) -> bool:
+    """For every i, an injection from the children of u[i] in lo to those of
+    v[i] in hi with N(image) >= N(child); greedy matching of the sizes in
+    descending order is exact here (standard exchange argument)."""
+    sides = []
+    for t, x in ((lo, u), (hi, v)):
+        group = np.full(len(t) + 1, -1)  # index -1: the parent of the root
+        group[x] = np.arange(len(x))
+        g = group[t.parent]
+        g, size = g[g >= 0], _sizes(t)[g >= 0]
+        sides.append((size[np.lexsort((-size, g))],
+                      np.bincount(g, minlength=len(x))))
+    (lo_size, lo_count), (hi_size, hi_count) = sides
+    # the j-th largest child of u[i] meets the j-th largest of v[i]
+    spare = hi_count - lo_count
+    shift = np.cumsum(spare) - spare  # where v[i]'s run starts past u[i]'s
+    at = np.arange(len(lo_size)) + np.repeat(shift, lo_count)
+    return bool((lo_count <= hi_count).all()
+                and (hi_size[at] >= lo_size).all())
 
 
 def check_le1(lo: RootedTree, hi: RootedTree) -> bool:
     """True iff an injection from lo-root children to hi-root children exists
     with N(image) >= N(child).  Both trees need subtree-size annotations
     (filled on demand)."""
-    return _le1_sorted([_sizes(lo)[w] for w in lo.children[lo.root]],
-                       [_sizes(hi)[w] for w in hi.children[hi.root]])
+    return _le1(lo, hi, np.array([lo.root]), np.array([hi.root]))
 
 
-_LEAF = range(0)
-_SMALL_SHAPES = {1: ([-1], [0], [1], [0]), 2: ([-1, 0], [0, 1], [1, 2], [1, 0])}
+_SMALL_SHAPES = {1: ([-1], [0]), 2: ([-1, 0], [0, 1])}
+
+
 # keyed by (seq as a tuple, k, root); its shapes are shared, and only read
 _cached_shape = lru_cache(maxsize=4096)(_rooted_shape)
 
 
-def _bush_shape(k: int, draw) -> tuple[list[int], ...]:
+def _bush_shape(k: int, draw) -> tuple[list, ...]:
     """A uniform rooted tree on k nodes as _rooted_shape lists, from k - 2
     sequence entries and then the root label, each int(u * k)."""
     if k in _SMALL_SHAPES:
@@ -310,32 +311,35 @@ def _bush_shape(k: int, draw) -> tuple[list[int], ...]:
     return _cached_shape(seq, k, int(draw() * k))
 
 
-def _add(t: RootedTree, p: int, n: int, more: int) -> int:
-    """Give node p n new childless type-I children, held as a range, or as a
-    list when more children will be appended; returns the id of the first."""
-    parent, depth, ntype, children = t.parent, t.depth, t.ntype, t.children
-    w, d = len(parent), depth[p] + 1
-    for _ in range(n):
-        parent.append(p)
-        depth.append(d)
-        ntype.append(TYPE_I)
-        children.append(_LEAF)
-    children[p] = list(range(w, w + n)) if more else range(w, w + n)
+def _add(t: tuple, p: int, n: int) -> int:
+    """Give node p of the arena lists t = (parent, depth, ntype) n new type-I
+    children; returns the id of the first."""
+    parent, depth, ntype = t
+    w = len(parent)
+    parent.extend([p] * n)
+    depth.extend([depth[p] + 1] * n)
+    ntype.extend([TYPE_I] * n)
     return w
 
 
-def _graft(t: RootedTree, p: int, shape) -> int:
-    """Append a type-F bush of the given shape to the child list of node p,
+def _graft(t: tuple, p: int, shape) -> int:
+    """Give node p of the arena lists t a type-F bush of the given shape,
     its root first and its interior right after; returns the root's id."""
-    parent, depth, ntype, children = t.parent, t.depth, t.ntype, t.children
+    parent, depth, ntype = t
+    bush_parent, bush_depth = shape
     w, d = len(parent), depth[p] + 1
-    children[p].append(w)
-    for q, e, f, c in zip(*shape):
-        parent.append(w + q if q >= 0 else p)
-        depth.append(d + e)
-        ntype.append(TYPE_F)
-        children.append(range(w + f, w + f + c) if c else _LEAF)
+    parent.extend(map(w.__add__, bush_parent))
+    parent[w] = p
+    depth.extend(map(d.__add__, bush_depth))
+    ntype.extend([TYPE_F] * len(bush_depth))
     return w
+
+
+def _arena(t: tuple, depth: int) -> RootedTree:
+    """The RootedTree of the arena lists t, type-I nodes past depth open."""
+    tree = RootedTree(*t, np.zeros(len(t[0]), bool))
+    tree.open_[(tree.ntype == TYPE_I) & (tree.depth > depth)] = True
+    return tree
 
 
 class _CoupledSampler:
@@ -364,9 +368,8 @@ class _CoupledSampler:
         rng = substream(seed, "couple", self.lam, self.mu)
         draw = chain.from_iterable(  # its uniforms in order, 256 at a time
             iter(lambda: rng.random(256).tolist(), None)).__next__
-        lo, hi = RootedTree(), RootedTree()
-        for t in (lo, hi):  # open_ is filled in at the end
-            t.parent, t.depth, t.ntype, t.children = [-1], [0], [TYPE_I], [_LEAF]
+        # arena lists (parent, depth, ntype), each from the root
+        lo, hi = ([-1], [0], [TYPE_I]), ([-1], [0], [TYPE_I])
         node_map = {0: 0}
         root_couple = None
         stack = [(0, 0)]
@@ -383,12 +386,11 @@ class _CoupledSampler:
                             for _ in range(z_shared)]
             extra_sizes = [quantile(self.extra_size_cdf, draw())
                            for _ in range(z_extra)]
-            cu = _add(lo, u, a, z_shared + z_extra)
-            cv = _add(hi, v, h, z_shared)  # a matched, then h - a spare
+            cu, cv = _add(lo, u, a), _add(hi, v, h)  # a matched, h - a spare
             pairs = list(zip(range(cu, cu + a), range(cv, cv + a)))
             node_map.update(pairs)
             spare = range(cv + a, cv + h)
-            if lo.depth[u] < depth:  # else the children stay open stubs
+            if lo[1][u] < depth:  # else the children stay open stubs
                 stack.extend(pairs)
                 for x in spare:
                     self._expand_marginal_hi(hi, x, depth, draw)
@@ -404,14 +406,10 @@ class _CoupledSampler:
                     n_fin_lo=dict(Counter(shared_sizes + extra_sizes)),
                     n_fin_hi=dict(Counter(shared_sizes)),
                     n_inf_lo=a, n_inf_hi=h)
-        for t in (lo, hi):
-            t.open_ = [ty == TYPE_I and d > depth
-                       for ty, d in zip(t.ntype, t.depth)]
-            t.truncation_depth = depth
-        return CoupledPair(lo, hi, node_map, root_couple,
-                           self.lam, self.mu, depth, seed)
+        return CoupledPair(_arena(lo, depth), _arena(hi, depth), node_map,
+                           root_couple, self.lam, self.mu, depth, seed)
 
-    def _expand_marginal_hi(self, t: RootedTree, node: int, depth: int,
+    def _expand_marginal_hi(self, t: tuple, node: int, depth: int,
                             draw) -> None:
         """Marginal two-type expansion of an unpaired hi subtree down to the
         horizon (same law as sample_pgw_star restricted to a subtree)."""
@@ -420,8 +418,8 @@ class _CoupledSampler:
             x = stack.pop()
             n_i = quantile(self.qstar_hi_cdf, draw())
             n_f = quantile(self.shared_count_cdf, draw()) - 1
-            w = _add(t, x, n_i, n_f)
-            if t.depth[x] < depth:
+            w = _add(t, x, n_i)
+            if t[1][x] < depth:
                 stack.extend(range(w, w + n_i))
             for _ in range(n_f):
                 _graft(t, x, _bush_shape(

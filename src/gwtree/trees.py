@@ -26,17 +26,18 @@ counter-based rng.child_key and rng.node_uniform, no Generator per node),
 so deepening a tree (same seed, larger depth) reproduces the shallow tree
 exactly.  Type-I counts invert the laws module's positive-Poisson table at
 any c, type-F counts its Poisson table.  sample_pgw draws one Poisson vector
-per level from its substream.  Both samplers collect per-node lists and
-build the arena once at the end (RootedTree.from_parents).
+per level from its substream.
+
+Every tree is one RootedTree arena of per-node numpy arrays, built in one
+piece; children are derived from parent once per tree.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import Counter
+from collections.abc import Sequence
 from functools import lru_cache
-from itertools import accumulate, chain, repeat
 
 import numpy as np
 
@@ -60,63 +61,88 @@ TYPE_UNTYPED = 0
 TYPE_I = 1
 TYPE_F = 2
 
-_TYPE_CHAR = {TYPE_UNTYPED: "U", TYPE_I: "I", TYPE_F: "F"}
-_CHAR_TYPE = {v: k for k, v in _TYPE_CHAR.items()}
+_TYPE_CHARS = np.array(["U", "I", "F"])  # indexed by type
+_CHAR_TYPE = {ch: k for k, ch in enumerate(_TYPE_CHARS.tolist())}
 
 BUSH_NODE_CAP = 1_000_000
+_DTYPES = (np.int64, np.int64, np.int8, bool)  # parent, depth, ntype, open_
+
+
+class _Types(np.ndarray):
+    """ntype, whose single elements read as Python ints (JSON takes them)."""
+
+    def __getitem__(self, key):
+        item = super().__getitem__(key)
+        return item.item() if isinstance(item, np.generic) else item
+
+
+class _Children(Sequence):
+    """children[v]: the ids whose parent is v, ascending, as a list of ints
+    cut from a CSR built once from the parent array."""
+
+    def __init__(self, parent: np.ndarray):
+        self._ids = np.argsort(parent, kind="stable").tolist()
+        # the children of v follow the nodes whose parent is below v
+        self._start = np.cumsum(
+            np.bincount(parent + 1, minlength=len(parent) + 1)).tolist()
+
+    def __len__(self) -> int:
+        return len(self._start) - 1
+
+    def __getitem__(self, v: int) -> list[int]:
+        return self._ids[self._start[v]:self._start[v + 1]]
 
 
 class RootedTree:
-    """Arena of nodes with parent/children indices and per-node type tags.
+    """One arena of per-node numpy arrays; the root is node 0.
 
-    Parallel per-node lists:
-      parent[v]   index of the parent, -1 for the root
-      children[v] read-only sequence of child indices: a list for trees
-                  grown by add_node, a range for trees built in one piece
-                  by from_parents; coupled trees hold both
-      ntype[v]    TYPE_I / TYPE_F / TYPE_UNTYPED
-      depth[v]    distance from the root
-      open_[v]    True while v's child counts have not been sampled
+      parent[v]   int64, index of the parent, -1 for the root
+      depth[v]    int64, distance from the root
+      ntype[v]    int8, TYPE_I / TYPE_F / TYPE_UNTYPED
+      open_[v]    bool, True while v's child counts have not been sampled
                   (frontier stubs of truncated samples, or unexpanded
                   nodes of capped samples)
 
-    subtree_size is filled by subtree_stats (math.inf marks subtrees that
-    escape the sampled horizon; every type-I node is infinite).
+    children[v] lists v's children in ascending id order, from a CSR derived
+    from parent on first use (add_node resets it).  subtree_size, a float
+    array, is filled by subtree_stats (math.inf marks subtrees that escape
+    the sampled horizon; every type-I node is infinite).
     """
 
-    def __init__(self):
-        self.parent: list[int] = []
-        self.children: list = []
-        self.ntype: list[int] = []
-        self.depth: list[int] = []
-        self.open_: list[bool] = []
+    def __init__(self, parent=(), depth=(), ntype=(), open_=(),
+                 subtree_size: np.ndarray | None = None):
+        # np.fromiter reads a list about twice as fast as np.array
+        p, d, a, o = (np.fromiter(x, dt, len(x)) if isinstance(x, list) else
+                      np.asarray(x, dt) for x, dt in zip(
+                          (parent, depth, ntype, open_), _DTYPES))
+        self._cols = (p, d, a.view(_Types), o)
+        self.parent, self.depth, self.ntype, self.open_ = self._cols
         self.root: int = 0
-        self.truncation_depth: int | None = None
-        self.subtree_size: list[float] | None = None
+        self.subtree_size = subtree_size
         self.capped: bool = False
         self.bush_resamples: int = 0
+        self._children: _Children | None = None
 
-    @classmethod
-    def from_parents(cls, parent, depth, ntype, open_, first,
-                     count) -> RootedTree:
-        """Arena built in one piece from per-node lists, which it keeps: the
-        children of v are the nodes first[v] .. first[v] + count[v] - 1,
-        held as a range.  add_node cannot extend such a tree."""
-        t = cls()
-        t.parent, t.depth, t.ntype, t.open_ = parent, depth, ntype, open_
-        t.children = list(map(range, first, map(int.__add__, first, count)))
-        return t
+    @property
+    def children(self) -> _Children:
+        if self._children is None:
+            self._children = _Children(self.parent)
+        return self._children
 
     def add_node(self, parent: int, ntype: int = TYPE_UNTYPED,
                  open_: bool = True) -> int:
+        """Append one node to a hand-built tree.  The arrays are views of
+        buffers that double when full, so writes through them persist."""
         v = len(self.parent)
-        self.parent.append(parent)
-        self.children.append([])
-        self.ntype.append(ntype)
-        self.depth.append(0 if parent < 0 else self.depth[parent] + 1)
-        self.open_.append(open_)
-        if parent >= 0:
-            self.children[parent].append(v)
+        if v == len(self._cols[0]):
+            self._cols = tuple(np.resize(col, 2 * v + 8).view(type(col))
+                               for col in self._cols)
+        depth = self.depth[parent] + 1 if parent >= 0 else 0
+        for col, x in zip(self._cols, (parent, depth, ntype, open_)):
+            col[v] = x
+        self.parent, self.depth, self.ntype, self.open_ = (
+            col[:v + 1] for col in self._cols)
+        self._children = self.subtree_size = None
         return v
 
     def __len__(self) -> int:
@@ -127,41 +153,36 @@ class RootedTree:
 
     def specified_depth(self) -> float:
         """Deepest level d such that every node at depth <= d is expanded."""
-        open_depths = [self.depth[v] for v in range(len(self)) if self.open_[v]]
-        if not open_depths:
-            return math.inf
-        return min(open_depths) - 1
+        open_depths = self.depth[self.open_]
+        return int(open_depths.min()) - 1 if len(open_depths) else math.inf
 
     def validate(self) -> None:
-        """Structural invariants; raises ValueError on the first violation."""
-        n = len(self)
+        """Raises ValueError at the first node breaking the first invariant."""
+        n, p, a = len(self), self.parent, self.ntype
         if n == 0:
             raise ValueError("empty tree")
-        if self.parent[self.root] != -1:
+        if p[self.root] != -1:
             raise ValueError("root has a parent")
-        for v in range(n):
-            p = self.parent[v]
-            if v == self.root:
-                continue
-            if not (0 <= p < n) or v not in self.children[p]:
-                raise ValueError(f"parent/children mismatch at node {v}")
-            if self.depth[v] != self.depth[p] + 1:
-                raise ValueError(f"depth inconsistent at node {v}")
-            if self.ntype[p] == TYPE_F and self.ntype[v] != TYPE_F:
-                raise ValueError(
-                    f"type-F node {p} has non-F child {v}")
-        for v in range(n):
-            if self.ntype[v] == TYPE_I and not self.open_[v]:
-                if not any(self.ntype[w] == TYPE_I for w in self.children[v]):
-                    raise ValueError(
-                        f"expanded type-I node {v} has no type-I child")
+        kid = np.arange(n) != self.root
+        q = np.where((p >= 0) & (p < n), p, self.root)
+        checks = [
+            (kid & (q != p), "parent/children mismatch at node {v}"),
+            (kid & (self.depth != self.depth[q] + 1),
+             "depth inconsistent at node {v}"),
+            (kid & (a[q] == TYPE_F) & (a != TYPE_F),
+             "type-F node {p} has non-F child {v}"),
+            ((a == TYPE_I) & ~self.open_
+             & (np.bincount(q[kid & (a == TYPE_I)], minlength=n) == 0),
+             "expanded type-I node {v} has no type-I child")]
         if self.subtree_size is not None:
-            for v in range(n):
-                if self.open_[v] or self.ntype[v] == TYPE_I:
-                    continue
-                expect = 1 + sum(self.subtree_size[w] for w in self.children[v])
-                if self.subtree_size[v] != expect:
-                    raise ValueError(f"subtree size inconsistent at node {v}")
+            size = self.subtree_size
+            expect = 1.0 + np.bincount(q[kid], weights=size[kid], minlength=n)
+            checks.append((~self.open_ & (a != TYPE_I) & (size != expect),
+                           "subtree size inconsistent at node {v}"))
+        for bad, msg in checks:
+            if bad.any():
+                v = int(bad.argmax())
+                raise ValueError(msg.format(v=v, p=p[v]))
 
 
 def sample_pgw(c: float, node_cap: int, seed: int) -> RootedTree:
@@ -187,16 +208,12 @@ def sample_pgw(c: float, node_cap: int, seed: int) -> RootedTree:
         size += m
         width = m
     # nodes are numbered breadth first, so the children of v follow those
-    # of the nodes before v, starting at 1
+    # of the nodes before v
     expanded = size - width * capped
     widths = [len(k) for k in counts] + [width] * capped
-    count = np.concatenate(counts + [np.zeros(width * capped, np.int64)])
-    n_kids = count.tolist()
-    t = RootedTree.from_parents(
-        [-1] + np.repeat(np.arange(size), count).tolist(),
-        list(chain.from_iterable(map(repeat, range(len(widths)), widths))),
-        [TYPE_UNTYPED] * size, [False] * expanded + [True] * (size - expanded),
-        list(accumulate(n_kids[:-1], initial=1)), n_kids)
+    parent = np.repeat(np.arange(-1, expanded), np.concatenate([[1], *counts]))
+    t = RootedTree(parent, np.repeat(np.arange(len(widths)), widths),
+                   np.zeros(size, np.int8), np.arange(size) >= expanded)
     t.capped = capped
     return t
 
@@ -226,21 +243,15 @@ def sample_pgw_star(c: float, depth: int, seed: int) -> RootedTree:
         raise ValueError(f"depth must be >= 0, got {depth}")
     qcdf, fcdf, _ = _star_tables(c)
 
-    parent, ntype, dep, open_ = [-1], [TYPE_I], [0], [False]
-    first, count = [0], [0]
+    parent, ntype, dep = [-1], [TYPE_I], [0]
     resamples = 0
 
     def grow(v: int, n_i: int, n_f: int) -> int:
-        """Append n_i type-I and then n_f type-F children to v, the type-I
-        ones open past the horizon; returns the index of the first."""
+        """Give v n_i type-I, then n_f type-F children; returns the first."""
         w, n = len(parent), n_i + n_f
-        first[v], count[v] = w, n
         parent.extend([v] * n)
         ntype.extend([TYPE_I] * n_i + [TYPE_F] * n_f)
-        open_.extend([dep[v] >= depth] * n_i + [False] * n_f)
         dep.extend([dep[v] + 1] * n)
-        first.extend([0] * n)
-        count.extend([0] * n)
         return w
 
     def bush(b: int, key: int) -> None:
@@ -261,9 +272,8 @@ def sample_pgw_star(c: float, depth: int, seed: int) -> RootedTree:
             if len(parent) - keep <= BUSH_NODE_CAP:
                 return
             resamples += 1
-            for arr in (parent, ntype, dep, open_, first, count):
+            for arr in (parent, ntype, dep):
                 del arr[keep:]
-            first[b] = count[b] = 0
         raise ArithmeticError("bush sampling exceeded the node cap 64 times "
                               f"at c = {c}")
 
@@ -277,64 +287,60 @@ def sample_pgw_star(c: float, depth: int, seed: int) -> RootedTree:
             bush(w + j, child_key(key, j))
         if dep[v] < depth:
             stack.extend((w + i, child_key(key, i)) for i in range(n_i))
-    t = RootedTree.from_parents(parent, dep, ntype, open_, first, count)
-    t.truncation_depth = depth
+    t = RootedTree(parent, dep, ntype, np.zeros(len(parent), bool))
+    # the type-I children made at depth + 1 are the open frontier
+    t.open_[(t.ntype == TYPE_I) & (t.depth > depth)] = True
     t.bush_resamples = resamples
     return t
 
 
-def _decode_tree_sequence(seq, n: int) -> list[tuple[int, int]]:
-    """Decode a length n-2 sequence over {0..n-1} into the edge list of the
-    corresponding labeled tree (smallest-leaf rule)."""
-    if n == 1:
-        return []
+def _decode_tree_sequence(seq, n: int) -> list[int]:
+    """Decode a length n-2 sequence over {0..n-1} into the labeled tree
+    whose edges are (leaf[i], seq[i]) and then (leaf[n-2], n-1), by the
+    smallest-leaf rule in linear time; returns leaf."""
     deg = [1] * n
     for x in seq:
         deg[x] += 1
-    leaves = [i for i in range(n) if deg[i] == 1]
-    heapq.heapify(leaves)
-    edges = []
+    leaf = ptr = deg.index(1)
+    leaves = []
     for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, x))
+        leaves.append(leaf)
         deg[x] -= 1
-        if deg[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v))
-    return edges
+        if deg[x] == 1 and x < ptr:
+            leaf = x  # x is now the smallest leaf
+        else:
+            ptr = leaf = deg.index(1, ptr + 1)
+    leaves.append(leaf)
+    return leaves
 
 
-def _rooted_shape(seq, n: int, root: int) -> tuple[list[int], ...]:
-    """Per-node lists (parent, depth, first, count) of the labeled tree
-    decoded from seq and rooted at the label root, labels dropped: nodes are
-    numbered breadth first, so the children of v are first[v] ..
-    first[v] + count[v] - 1."""
+def _rooted_shape(seq, n: int, root: int) -> tuple[list[int], list[int]]:
+    """Lists (parent, depth) of the labeled tree decoded from seq and rooted
+    at the label root, labels dropped: nodes are numbered breadth first, each
+    node's neighbours taken in the order of the decoded edges."""
+    if n == 1:
+        return [-1], [0]
     adj = [[] for _ in range(n)]
-    for a, b in _decode_tree_sequence(seq, n):
+    for a, b in zip(_decode_tree_sequence(seq, n), [*seq, n - 1]):
         adj[a].append(b)
         adj[b].append(a)
     seen = [False] * n
     seen[root] = True
-    order, parent, depth, first, count = [root], [-1], [0], [], []
+    order, parent, depth = [root], [-1], [0]
     for v, lab in enumerate(order):  # a breadth-first queue, read as it grows
-        first.append(len(order))
         for nb in adj[lab]:
             if not seen[nb]:
                 seen[nb] = True
                 order.append(nb)
                 parent.append(v)
                 depth.append(depth[v] + 1)
-        count.append(len(order) - first[v])
-    return parent, depth, first, count
+    return parent, depth
 
 
 def _uniform_rooted_tree(n: int, rng: np.random.Generator) -> RootedTree:
     seq = rng.integers(0, n, size=max(0, n - 2)).tolist()
-    parent, depth, first, count = _rooted_shape(seq, n, int(rng.integers(n)))
-    return RootedTree.from_parents(parent, depth, [TYPE_UNTYPED] * n,
-                                   [False] * n, first, count)
+    parent, depth = _rooted_shape(seq, n, int(rng.integers(n)))
+    return RootedTree(parent, depth, np.zeros(n, np.int8), np.zeros(n, bool))
 
 
 def sample_uniform_rooted_tree(n: int, seed: int) -> RootedTree:
@@ -351,47 +357,46 @@ def subtree_stats(t: RootedTree) -> Counter:
     N(v) = math.inf whenever v's subtree escapes the sample: v is type I,
     or v (or a descendant) is still open.
     """
-    n = len(t)
-    size: list[float] = [0.0] * n
-    # children-processed-first order: arena indices are topological
-    # (children are always appended after their parent), so a reverse sweep
-    # is a valid post-order.
-    for v in range(n - 1, -1, -1):
-        if t.ntype[v] == TYPE_I or t.open_[v]:
-            size[v] = math.inf
-        else:
-            s = 1.0
-            for w in t.children[v]:
-                s += size[w]
-            size[v] = s
-    t.subtree_size = size
-    return Counter(size[w] for w in t.children[t.root])
+    size = np.where((t.ntype == TYPE_I) | t.open_, math.inf, 1.0).tolist()
+    parent = t.parent.tolist()
+    # parents precede children; on coupled trees this beats numpy by levels
+    for v in range(len(parent) - 1, 0, -1):
+        size[parent[v]] += size[v]
+    t.subtree_size = np.fromiter(size, np.float64, len(size))
+    return Counter(t.subtree_size[t.parent == t.root].tolist())
+
+
+def _sizes(t: RootedTree) -> np.ndarray:
+    if t.subtree_size is None:
+        subtree_stats(t)
+    return t.subtree_size
 
 
 def tree_to_text(t: RootedTree) -> str:
     """Adjacency text format: one node per line, 'id parent-id type N'."""
-    if t.subtree_size is None:
-        subtree_stats(t)
-    lines = []
-    for v in range(len(t)):
-        nv = t.subtree_size[v]
-        nv_str = "inf" if math.isinf(nv) else str(int(nv))
-        lines.append(f"{v} {t.parent[v]} {_TYPE_CHAR[t.ntype[v]]} {nv_str}")
-    return "\n".join(lines) + "\n"
+    size = _sizes(t)
+    nv = np.where(np.isinf(size), -1, size).astype(np.int64).tolist()
+    return "".join(
+        f"{v} {p} {ch} {'inf' if s < 0 else s}\n" for v, (p, ch, s) in
+        enumerate(zip(t.parent.tolist(), _TYPE_CHARS[t.ntype].tolist(), nv)))
 
 
 def tree_from_text(text: str) -> RootedTree:
-    t = RootedTree()
-    sizes = []
-    for line in text.strip().splitlines():
-        v, p, ch, nv = line.split()
-        w = t.add_node(int(p), _CHAR_TYPE[ch], open_=False)
-        if w != int(v):
-            raise ValueError(f"node ids must be contiguous, got {v} at {w}")
-        sizes.append(math.inf if nv == "inf" else float(nv))
-    t.subtree_size = sizes
+    # raises ValueError unless every line reads 'id parent-id type N'
+    ids, parent, chars, sizes = np.array(
+        [line.split() for line in text.strip().splitlines()]).T
+    ids, parent = ids.astype(np.int64), parent.astype(np.int64)
+    v = np.arange(len(ids))
+    if (ids != v).any() or ((parent < -1) | (parent >= v)).any():
+        raise ValueError("node ids must run 0, 1, 2, ... and follow the id "
+                         "of their parent")
+    depth = [0] * len(ids)
+    for w, p in enumerate(parent.tolist()):
+        depth[w] = depth[p] + 1 if p >= 0 else 0
+    sizes = sizes.astype(float)
     # nodes with unsampled children cannot be distinguished from childless
     # ones in this format; infinite leaves are conservatively marked open
-    for v in range(len(t)):
-        t.open_[v] = math.isinf(sizes[v]) and not t.children[v]
-    return t
+    childless = np.bincount(parent[parent >= 0], minlength=len(v)) == 0
+    return RootedTree(parent, depth,
+                      [_CHAR_TYPE[ch] for ch in chars.tolist()],
+                      np.isinf(sizes) & childless, subtree_size=sizes)

@@ -91,24 +91,17 @@ def return_probs(t: RootedTree, K: int) -> ReturnProfile:
         raise ValueError(
             f"tree is specified to depth {spec_d}; p_k up to K={K} needs "
             f"child counts through depth {dmax}")
-    nodes = [v for v in range(len(t)) if t.depth[v] <= dmax]
-    idx = np.full(len(t), -1)
-    for i, v in enumerate(nodes):
-        idx[v] = i
-    rows, cols, vals = [], [], []
-    for v in nodes:
-        i = idx[v]
-        w = 1.0 / t.degree(v)  # true degree, children beyond dmax included
-        if v != t.root:
-            rows.append(i)
-            cols.append(idx[t.parent[v]])
-            vals.append(w)
-        for ch in t.children[v]:
-            if t.depth[ch] <= dmax:
-                rows.append(i)
-                cols.append(idx[ch])
-                vals.append(w)
-    P = csr_matrix((vals, (rows, cols)), shape=(len(nodes), len(nodes)))
+    # edges both ways, weighted by true degrees (children past dmax count)
+    n = len(t)
+    nodes = np.flatnonzero(t.depth <= dmax)
+    idx = np.full(n, -1)
+    idx[nodes] = np.arange(len(nodes))
+    kids = nodes[nodes != t.root]
+    src, dst = np.r_[kids, t.parent[kids]], np.r_[t.parent[kids], kids]
+    deg = (np.bincount(t.parent[t.parent >= 0], minlength=n)
+           + (np.arange(n) != t.root))
+    P = csr_matrix((1.0 / deg[src], (idx[src], idx[dst])),
+                   shape=(len(nodes), len(nodes)))
     Pt = P.T.tocsr()
     vec = np.zeros(len(nodes))
     root_i = idx[t.root]
@@ -179,21 +172,23 @@ def killed_walk_visits(t: RootedTree, s: float, seed: int,
 
     def neighbors(key):
         if isinstance(key, int):
-            par = t.parent[key] if key != t.root else None
-            if not t.open_[key]:
-                return t.children[key], par
+            par = int(t.parent[key]) if key != t.root else None
         else:
             par = key[:-1] if len(key) > 2 else key[0]
         if key not in grown:
-            if grow is None:
+            if isinstance(key, int) and not t.open_[key]:
+                # a walk meets few arena nodes: scanning parent beats a CSR
+                grown[key] = (np.flatnonzero(t.parent == key).tolist(), 0)
+            elif grow is None:
                 raise RuntimeError("walk reached the frontier of a tree "
                                    "sampled without lazy growth")
-            is_i = (t.ntype[key] == TYPE_I if isinstance(key, int)
-                    else key[-1] < grown[par][1])
-            n_i = quantile(qcdf, rng.random()) if is_i else 0
-            n_f = int(rng.poisson(rate_f))
-            base = key if isinstance(key, tuple) else (key,)
-            grown[key] = ([base + (i,) for i in range(n_i + n_f)], n_i)
+            else:
+                is_i = (t.ntype[key] == TYPE_I if isinstance(key, int)
+                        else key[-1] < grown[par][1])
+                n_i = quantile(qcdf, rng.random()) if is_i else 0
+                n_f = int(rng.poisson(rate_f))
+                base = key if isinstance(key, tuple) else (key,)
+                grown[key] = ([base + (i,) for i in range(n_i + n_f)], n_i)
         return grown[key][0], par
 
     cur = t.root

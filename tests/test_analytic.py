@@ -152,10 +152,11 @@ class TestDegreeLaw:
         p = extinction_prob(2.0)
         assert degree_pmf(p, 1) == pytest.approx(2.0 * math.exp(-2.0), rel=1e-12)
 
-    @pytest.mark.parametrize("c", [1.2, 2.0, 3.7, 6.0])
+    # q underflows to 0.0 at c = 400
+    @pytest.mark.parametrize("c", [1.2, 2.0, 3.7, 6.0, 400.0])
     def test_normalization(self, c):
         p = extinction_prob(c)
-        total = sum(degree_pmf(p, k) for k in range(1, 250))
+        total = sum(degree_pmf(p, k) for k in range(1, max(250, 2 * int(c))))
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_tail_accessor_consistency(self):
@@ -194,7 +195,7 @@ class TestFBounds:
         p = extinction_prob(3.0)
         assert f_bounds(p).f_upper == expected_log_degree(p)
 
-    @pytest.mark.parametrize("c", C_GRID)
+    @pytest.mark.parametrize("c", C_GRID + [400.0])
     def test_invariants(self, c):
         b = f_bounds(extinction_prob(c))
         assert 0.0 <= b.f_lower <= b.f_upper

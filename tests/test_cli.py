@@ -1,6 +1,7 @@
 """CLI driver: validation, formats, reproducibility of output files."""
 
 import json
+import math
 
 import pytest
 
@@ -194,6 +195,19 @@ class TestOtherCommands:
         row = json.loads(out.read_text())["results"][0]
         assert row["f_lower"] == pytest.approx(0.16696, abs=1e-4)
         assert row["f_upper"] == pytest.approx(0.74036, abs=1e-4)
+
+    @pytest.mark.parametrize("cmd", [
+        ["bounds"],
+        ["estimate-f", "--K", "20", "--samples", "10", "--workers", "1"],
+        ["crosscheck", "--n", "1000", "--reps", "1", "--K", "20",
+         "--samples", "10"]])
+    def test_extinction_underflow(self, tmp_path, cmd):
+        # q is 0.0 in double precision at c = 400
+        rc, out = run(tmp_path, "big.json", cmd[:1] + ["--c", "400"] + cmd[1:])
+        assert rc == 0
+        row = json.loads(out.read_text())["results"][0]
+        assert all(math.isfinite(x) for x in row.values()
+                   if isinstance(x, float))
 
     def test_decay(self, tmp_path):
         _, out = run(tmp_path, "d.json",

@@ -304,13 +304,12 @@ class TestBushShape:
         law = {}
         for cells in itertools.product(range(k), repeat=k - 1):
             draws = iter([(j + 0.5) / k for j in cells])
-            parent, depth, first, count = _bush_shape(k, draws.__next__)
+            parent, depth = _bush_shape(k, draws.__next__)
             assert next(draws, None) is None  # k - 1 draws, no more
             key = shape_key(parent)
             assert tuple(sorted(depth)) == key
-            for j in range(k):
-                assert list(range(first[j], first[j] + count[j])) == [
-                    v for v in range(k) if parent[v] == j]
+            for j in range(1, k):  # parents first, one level up
+                assert parent[j] < j and depth[j] == depth[parent[j]] + 1
             law[key] = law.get(key, 0) + 1
         return {key: cnt / k ** (k - 1) for key, cnt in law.items()}
 
@@ -370,9 +369,12 @@ class TestAuditRejections:
         pair, (u, v) = pair_with(target)
         pair.validate_embedding()
         assert pair.audit_le1()
-        hi = pair.hi
-        hi.children[v] = list(hi.children[v])[1:]
-        hi.subtree_size = None  # recomputed from the corrupted children
+        # move the first child of v under the root; sizes are recomputed
+        # from the corrupted parent array
+        parent = pair.hi.parent.copy()
+        parent[pair.hi.children[v][0]] = pair.hi.root
+        pair.hi = RootedTree(parent, pair.hi.depth, pair.hi.ntype,
+                             pair.hi.open_)
         with pytest.raises(ValueError, match="dominance"):
             pair.validate_embedding()
         assert not pair.audit_le1()
