@@ -11,13 +11,17 @@ the resolved config and the code version.  Identical config + seed gives
 byte-identical output files; nothing is written on failure.
 
 All randomness flows from the single --seed through named substreams, so
-grid points and repetitions are reproducible independently of the worker
-pool size (--workers, default GWTREE_THREADS or the CPU count).
+grid points, repetitions and walk chunks are reproducible independently of
+the worker pool (--workers, default GWTREE_THREADS or the CPU count, never
+above it).  A command opens one pool: the walk commands split each c's walk
+chunks over it, empirical-f its grid points.  A failure while a command runs
+exits with status 3 and one line.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -283,24 +287,7 @@ def _validated_inputs(cfg: dict) -> dict:
     return out
 
 
-# --- picklable worker tasks -------------------------------------------------
-
-def _task_returns(kw):
-    from .walk import estimate_return_integral
-    rep = estimate_return_integral(**kw)
-    return rep.to_dict()
-
-
-def _task_estimate_f(kw):
-    from .analytic import expected_log_degree, extinction_prob
-    from .walk import estimate_f
-    rep = estimate_f(**kw)
-    d = rep.to_dict()
-    eld = expected_log_degree(extinction_prob(kw["c"]))
-    d["elog_deg"] = eld
-    d["return_integral"] = eld - rep.value
-    return d
-
+# --- worker pools ------------------------------------------------------------
 
 def _task_empirical_f(kw):
     from .spanning import empirical_f
@@ -308,21 +295,25 @@ def _task_empirical_f(kw):
 
 
 def _worker_count(cfg_workers) -> int:
-    if cfg_workers is not None:
-        return max(1, int(cfg_workers))
+    """--workers, else GWTREE_THREADS, else the CPU count; never more
+    processes than CPUs."""
     env = os.environ.get("GWTREE_THREADS")
-    if env:
-        if not env.strip().isdigit():
-            raise ConfigError(f"GWTREE_THREADS must be an integer, got {env!r}")
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if cfg_workers is None and env and not env.strip().isdigit():
+        raise ConfigError(f"GWTREE_THREADS must be an integer, got {env!r}")
+    cpus = os.cpu_count() or 1
+    asked = cfg_workers if cfg_workers is not None else env or cpus
+    return max(1, min(int(asked), cpus))
+
+
+def _pool(workers: int):
+    """The process pool of one command; one worker runs in this process."""
+    return (ProcessPoolExecutor(max_workers=workers) if workers > 1
+            else contextlib.nullcontext())
 
 
 def _parallel(task, kwargs_list, workers: int):
-    if workers <= 1 or len(kwargs_list) <= 1:
-        return [task(kw) for kw in kwargs_list]
-    with ProcessPoolExecutor(max_workers=min(workers, len(kwargs_list))) as ex:
-        return list(ex.map(task, kwargs_list))
+    with _pool(min(workers, len(kwargs_list))) as ex:
+        return list((ex.map if ex else map)(task, kwargs_list))
 
 
 # --- command runners ---------------------------------------------------------
@@ -379,26 +370,35 @@ def _run_couple(v, cfg):
 
 
 def _run_returns(v, cfg):
-    tasks = [{"c": c, "K": v["K"], "n_samples": v["samples"],
-              "seed": derive_seed(v["seed"], "returns", c)}
-             for c in v["c_grid"]]
-    reps = _parallel(_task_returns, tasks, v["workers"])
-    rows = [{"c": c, "K": v["K"], "n_samples": r["n_samples"],
-             "value": r["value"], "stderr": r["stderr"], "seed": r["seed"]}
+    from .walk import estimate_return_integral
+    with _pool(v["workers"]) as ex:
+        reps = [estimate_return_integral(
+                    c, v["K"], v["samples"],
+                    derive_seed(v["seed"], "returns", c), executor=ex)
+                for c in v["c_grid"]]
+    rows = [{"c": c, "K": v["K"], "n_samples": r.n_samples,
+             "value": r.value, "stderr": r.stderr, "seed": r.seed}
             for c, r in zip(v["c_grid"], reps)]
     return rows, {}
 
 
+def _walk_f(v, c, ex):
+    from .walk import estimate_f
+    return estimate_f(c, v["K"], v["samples"],
+                      derive_seed(v["seed"], "estimate_f", c), executor=ex)
+
+
 def _run_estimate_f(v, cfg):
-    tasks = [{"c": c, "K": v["K"], "n_samples": v["samples"],
-              "seed": derive_seed(v["seed"], "estimate_f", c)}
-             for c in v["c_grid"]]
-    reps = _parallel(_task_estimate_f, tasks, v["workers"])
-    rows = [{"c": c, "K": v["K"], "n_samples": r["n_samples"],
-             "value": r["value"], "stderr": r["stderr"],
-             "elog_deg": r["elog_deg"],
-             "return_integral": r["return_integral"], "seed": r["seed"]}
-            for c, r in zip(v["c_grid"], reps)]
+    from .analytic import expected_log_degree, extinction_prob
+    rows = []
+    with _pool(v["workers"]) as ex:
+        for c in v["c_grid"]:
+            r = _walk_f(v, c, ex)
+            eld = expected_log_degree(extinction_prob(c))
+            rows.append({"c": c, "K": v["K"], "n_samples": r.n_samples,
+                         "value": r.value, "stderr": r.stderr,
+                         "elog_deg": eld, "return_integral": eld - r.value,
+                         "seed": r.seed})
     return rows, {}
 
 
@@ -415,26 +415,26 @@ def _run_empirical_f(v, cfg):
 
 def _run_decay(v, cfg):
     from .walk import pbar_decay_diagnostic
-    diag = pbar_decay_diagnostic(v["c"], v["K"], v["samples"],
-                                 derive_seed(v["seed"], "decay", v["c"]))
+    with _pool(v["workers"]) as ex:
+        diag = pbar_decay_diagnostic(v["c"], v["K"], v["samples"],
+                                     derive_seed(v["seed"], "decay", v["c"]),
+                                     executor=ex)
     rows = [{"k": k, "pbar": p, "stderr": se} for k, p, se in diag.rows]
     return rows, {"fit_slope": diag.fit_slope,
                   "fit_intercept": diag.fit_intercept}
 
 
 def _run_crosscheck(v, cfg):
-    walk_rep = _task_estimate_f({"c": v["c"], "K": v["K"],
-                                 "n_samples": v["samples"],
-                                 "seed": derive_seed(v["seed"], "estimate_f",
-                                                     v["c"])})
+    with _pool(v["workers"]) as ex:
+        walk_rep = _walk_f(v, v["c"], ex)
     span_rep = _task_empirical_f({"n": v["n"], "c": v["c"], "reps": v["reps"],
                                   "seed": derive_seed(v["seed"], "empirical_f",
                                                       v["c"])})
-    rows = [{"c": v["c"], "walk_value": walk_rep["value"],
-             "walk_stderr": walk_rep["stderr"],
+    rows = [{"c": v["c"], "walk_value": walk_rep.value,
+             "walk_stderr": walk_rep.stderr,
              "spanning_value": span_rep["value"],
              "spanning_stderr": span_rep["stderr"],
-             "discrepancy": abs(walk_rep["value"] - span_rep["value"])}]
+             "discrepancy": abs(walk_rep.value - span_rep["value"])}]
     return rows, {}
 
 
@@ -499,7 +499,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"gwtree: error: {exc}", file=sys.stderr)
         return 2
-    rows, extra = _RUNNERS[args.command](validated, cfg)
+    try:
+        rows, extra = _RUNNERS[args.command](validated, cfg)
+    except Exception as exc:  # a worker killed, memory exhausted, a bug
+        what = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"gwtree: error: {args.command} failed: {what}", file=sys.stderr)
+        return 3
     rows = _sanitize(rows)
     extra = _sanitize(extra)
     if cfg["format"] == "json":

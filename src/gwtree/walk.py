@@ -19,8 +19,10 @@ visit), and records 1/k for each return time k <= K.  The per-sample value
 has expectation sum_{k<=K} E[p_k]/k, the K-truncated return integral, so
 the estimator is unbiased for the same estimand with variance read off the
 sample.  Trees touched this way are never materialized beyond the walk's
-trace, which keeps a 1e5-sample run at K = 60 in seconds.  Type-I offspring
-counts invert the laws module's positive-Poisson table, fetched once per call.
+trace.  Walks go in chunks of 8192, each drawing from its own substream; a
+run of consecutive chunks reuses one node arena, and a process pool walks
+one run per worker, so the output does not depend on the pool.  Type-I
+offspring counts invert the laws module's positive-Poisson table.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -207,83 +210,94 @@ def killed_walk_visits(t: RootedTree, s: float, seed: int,
 # annealed walk engine
 
 
-def _annealed_return_walks(c: float, K: int, n_samples: int, seed: int):
+def _walk_chunks(c: float, K: int, seed: int, starts, n_samples: int):
+    """Walk the run of consecutive chunks that begin at `starts` on one arena,
+    reused from chunk to chunk; returns the run's (per_sample, hits) as
+    _annealed_return_walks does."""
+    params = extinction_prob(c)
+    qcdf = np.asarray(positive_poisson_cdf(params.ctheta))
+    sizes = [min(_WALK_CHUNK, n_samples - s) for s in starts]
+    per_sample = np.zeros(sum(sizes))
+    hits = np.zeros(K + 1, dtype=np.int64)
+    # node columns: parent, first child, child count, first type-F child
+    # (children before it are type I); slots past `size` are stale
+    cols = np.empty((4, 8 * max(sizes) + 64), np.int64)
+    parent, child_start, n_child, f_start = cols
+    for start, m in zip(starts, sizes):
+        # one substream per chunk: walks are then identical across runs with
+        # different K, so K-truncated estimates are monotone per seed
+        rng = substream(seed, "annealedwalk", c, start)
+        # nodes 0..m-1 are the roots of the m walk trees; node m is their
+        # common parent, whose children are all type I
+        parent[:m], f_start[m] = m, m + 1
+        child_start[:m] = -1
+        size = m + 1
+        cur = np.arange(m)
+        at_root = np.ones(m, bool)
+        acc = per_sample[start - starts[0]:start - starts[0] + m]
+
+        for k in range(1, K + 1):
+            first = child_start[cur]
+            kids = n_child[cur]
+            idx = np.flatnonzero(first < 0)
+            if len(idx):
+                nodes = cur[idx]
+                is_i = nodes < f_start[parent[nodes]]
+                n_i = np.zeros(len(nodes), np.int64)
+                n_i[is_i] = quantile(qcdf, rng.random(np.count_nonzero(is_i)))
+                tot = n_i + rng.poisson(params.cq, len(nodes))
+                offs = np.cumsum(tot)
+                new_total = int(offs[-1])
+                offs += size - tot
+                if size + new_total > cols.shape[1]:
+                    grown = np.empty((4, 2 * (size + new_total)), np.int64)
+                    grown[:, :size] = cols[:, :size]
+                    cols = grown
+                    parent, child_start, n_child, f_start = cols
+                child_start[nodes] = first[idx] = offs
+                n_child[nodes] = kids[idx] = tot
+                f_start[nodes] = offs + n_i
+                parent[size:size + new_total] = np.repeat(nodes, tot)
+                child_start[size:size + new_total] = -1
+                size += new_total
+
+            deg = kids + ~at_root
+            r = (rng.random(m) * deg).astype(np.int64)
+            np.minimum(r, deg - 1, out=r)
+            cur = np.where(r < kids, first + r, parent[cur])
+            at_root = cur < m
+            if k % 2 == 0:
+                np.add(acc, 1.0 / k, out=acc, where=at_root)
+                hits[k] += np.count_nonzero(at_root)
+    return per_sample, hits
+
+
+def _annealed_return_walks(c: float, K: int, n_samples: int, seed: int,
+                           executor=None):
     """Simulate one K-step walk per lazily grown two-type tree.
 
     Returns (per_sample, hits): per_sample[i] = sum of 1/k over the return
     times k <= K of walk i; hits[k] = number of walks at the root at step k.
+    With two or more chunks an executor walks one contiguous run per worker.
     """
-    params = extinction_prob(c)
-    rate_i, rate_f = params.ctheta, params.cq
-    qcdf = np.asarray(positive_poisson_cdf(rate_i))
-    per_sample = np.zeros(n_samples)
-    hits = np.zeros(K + 1, dtype=np.int64)
-
-    for start in range(0, n_samples, _WALK_CHUNK):
-        # one substream per chunk: walks are then identical across runs with
-        # different K, so K-truncated estimates are monotone per seed
-        rng = substream(seed, "annealedwalk", c, start)
-        m = min(_WALK_CHUNK, n_samples - start)
-        cap = 8 * m + 64
-        parent = np.full(cap, -1, np.int64)
-        child_start = np.full(cap, -1, np.int64)
-        n_child = np.zeros(cap, np.int64)
-        is_f = np.zeros(cap, bool)
-        size = m  # nodes 0..m-1 are the roots (type I) of the m walk trees
-        roots = np.arange(m)
-        cur = roots.copy()
-        acc = np.zeros(m)
-
-        for k in range(1, K + 1):
-            unexpanded = child_start[cur] < 0
-            if unexpanded.any():
-                nodes = cur[unexpanded]
-                f_here = is_f[nodes]
-                n_i = np.zeros(len(nodes), np.int64)
-                if (~f_here).any():
-                    u = rng.random(int((~f_here).sum()))
-                    n_i[~f_here] = quantile(qcdf, u)
-                n_f = rng.poisson(rate_f, len(nodes))
-                tot = n_i + n_f
-                new_total = int(tot.sum())
-                while size + new_total > cap:
-                    cap *= 2
-                    parent = np.resize(parent, cap)
-                    child_start = np.resize(child_start, cap)
-                    n_child = np.resize(n_child, cap)
-                    is_f = np.resize(is_f, cap)
-                offs = size + np.concatenate(([0], np.cumsum(tot[:-1])))
-                child_start[nodes] = offs
-                n_child[nodes] = tot
-                block = np.arange(size, size + new_total)
-                parent[block] = np.repeat(nodes, tot)
-                within = block - np.repeat(offs, tot)
-                is_f[block] = within >= np.repeat(n_i, tot)
-                child_start[block] = -1
-                n_child[block] = 0
-                size += new_total
-
-            deg = n_child[cur] + (cur != roots)
-            r = (rng.random(m) * deg).astype(np.int64)
-            np.minimum(r, deg - 1, out=r)
-            down = r < n_child[cur]
-            cur = np.where(down, child_start[cur] + r, parent[cur])
-            at_root = cur == roots
-            if k % 2 == 0:
-                acc[at_root] += 1.0 / k
-            hits[k] += int(at_root.sum())
-
-        per_sample[start:start + m] = acc
-    return per_sample, hits
+    starts = range(0, n_samples, _WALK_CHUNK)
+    n = min(executor._max_workers, len(starts)) if executor else 1
+    # the later runs take the spare chunks, as the last chunk may be short
+    runs = [starts[len(starts) * i // n:len(starts) * (i + 1) // n]
+            for i in range(n)]
+    per_sample, hits = zip(*(executor.map if n > 1 else map)(
+        partial(_walk_chunks, c, K, seed, n_samples=n_samples), runs))
+    return np.concatenate(per_sample), np.sum(hits, axis=0)
 
 
-def estimate_return_integral(c: float, K: int, n_samples: int,
-                             seed: int) -> EstimateReport:
+def estimate_return_integral(c: float, K: int, n_samples: int, seed: int,
+                             executor=None) -> EstimateReport:
     """Monte Carlo estimate of the K-truncated annealed return integral
-    sum_{k<=K} E[p_k]/k under the survival-conditioned tree at parameter c."""
+    sum_{k<=K} E[p_k]/k under the survival-conditioned tree at parameter c.
+    An executor (a process pool) walks the chunks; the result is the same."""
     _validate_estimator_args(c, K, n_samples)
     t0 = time.perf_counter()
-    per_sample, _ = _annealed_return_walks(c, K, n_samples, seed)
+    per_sample, _ = _annealed_return_walks(c, K, n_samples, seed, executor)
     return EstimateReport(
         value=float(per_sample.mean()),
         stderr=float(per_sample.std(ddof=1) / math.sqrt(n_samples)),
@@ -293,7 +307,8 @@ def estimate_return_integral(c: float, K: int, n_samples: int,
         wall_time=time.perf_counter() - t0)
 
 
-def estimate_f(c: float, K: int, n_samples: int, seed: int) -> EstimateReport:
+def estimate_f(c: float, K: int, n_samples: int, seed: int,
+               executor=None) -> EstimateReport:
     """Spanning-tree entropy estimate: analytic E[log deg] minus the Monte
     Carlo return integral.  All sampling variance sits in the walk part;
     truncating at K can only push the estimate up (dropped terms are
@@ -301,7 +316,7 @@ def estimate_f(c: float, K: int, n_samples: int, seed: int) -> EstimateReport:
     _validate_estimator_args(c, K, n_samples)
     t0 = time.perf_counter()
     eld = expected_log_degree(extinction_prob(c))
-    ret = estimate_return_integral(c, K, n_samples, seed)
+    ret = estimate_return_integral(c, K, n_samples, seed, executor=executor)
     return EstimateReport(
         value=eld - ret.value,
         stderr=ret.stderr,
@@ -311,11 +326,11 @@ def estimate_f(c: float, K: int, n_samples: int, seed: int) -> EstimateReport:
         wall_time=time.perf_counter() - t0)
 
 
-def pbar_decay_diagnostic(c: float, K: int, n_samples: int,
-                          seed: int) -> DecayDiagnostic:
+def pbar_decay_diagnostic(c: float, K: int, n_samples: int, seed: int,
+                          executor=None) -> DecayDiagnostic:
     """Per-k annealed return-probability table with the decay fit."""
     _validate_estimator_args(c, K, n_samples)
-    _, hits = _annealed_return_walks(c, K, n_samples, seed)
+    _, hits = _annealed_return_walks(c, K, n_samples, seed, executor)
     rows = []
     for k in range(1, K + 1):
         p = hits[k] / n_samples

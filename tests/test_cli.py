@@ -2,9 +2,12 @@
 
 import json
 import math
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from gwtree import cli
 from gwtree.cli import main
 
 
@@ -109,6 +112,18 @@ class TestReproducibility:
         _, out2 = run(tmp_path, "w2.json", base + ["--workers", "2"])
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("cmd", [
+        ["returns", "--c", "2,3"], ["estimate-f", "--c", "2"],
+        ["decay", "--c", "2"]])
+    def test_worker_count_does_not_change_split_chunks(self, tmp_path,
+                                                       monkeypatch, cmd):
+        # 20000 walks are three chunks, so two workers split them
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        base = cmd + ["--K", "20", "--samples", "20000", "--seed", "5"]
+        _, out1 = run(tmp_path, "w1.json", base + ["--workers", "1"])
+        _, out2 = run(tmp_path, "w2.json", base + ["--workers", "2"])
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_config_embedded(self, tmp_path):
         _, out = run(tmp_path, "r.json",
                      ["returns", "--c", "2", "--K", "20", "--samples", "500",
@@ -122,6 +137,7 @@ class TestReproducibility:
 class TestWorkerCount:
     def test_env_variable_sets_default(self, monkeypatch):
         from gwtree.cli import _worker_count
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setenv("GWTREE_THREADS", "3")
         assert _worker_count(None) == 3
         assert _worker_count(2) == 2  # explicit flag wins
@@ -129,6 +145,38 @@ class TestWorkerCount:
         assert _worker_count(None) >= 1
         monkeypatch.setenv("GWTREE_THREADS", "two")
         assert main(["params", "--c", "2"]) == 2
+
+    def test_capped_at_cpu_count(self, monkeypatch):
+        from gwtree.cli import _worker_count
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _worker_count(512) == 4
+        assert _worker_count(0) == 1
+        monkeypatch.setenv("GWTREE_THREADS", "512")
+        assert _worker_count(None) == 4
+        monkeypatch.delenv("GWTREE_THREADS")
+        assert _worker_count(None) == 4
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count(512) == 1
+
+
+class TestRuntimeFailure:
+    @pytest.mark.parametrize("exc", [
+        RuntimeError("out of luck\non two lines"),
+        BrokenProcessPool("A process in the process pool was terminated "
+                          "abruptly")])
+    def test_one_line_and_exit_3(self, tmp_path, monkeypatch, capsys, exc):
+        def boom(v, cfg):
+            raise exc
+        monkeypatch.setitem(cli._RUNNERS, "returns", boom)
+        rc, out = run(tmp_path, "r.json",
+                      ["returns", "--c", "2", "--K", "20", "--samples", "10"])
+        assert rc == 3
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"gwtree: error: returns failed: "
+                              f"{type(exc).__name__}: ")
+        assert err.count("\n") == 1
 
 
 class TestConfigFile:

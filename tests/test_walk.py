@@ -1,6 +1,8 @@
 """Walk computations: exact return profiles, killed walks, estimators."""
 
+import hashlib
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from gwtree import (EstimateReport, estimate_f, estimate_return_integral,
                     sample_coupled_trees, sample_pgw_star)
 from gwtree.rng import derive_seed
 from gwtree.trees import RootedTree
+from gwtree.walk import _annealed_return_walks
 
 
 def single_edge():
@@ -273,6 +276,39 @@ class TestEstimators:
             estimate_return_integral(2.0, 10, 100, seed=0)
         with pytest.raises(ValueError):
             estimate_return_integral(2.0, 20, 1, seed=0)
+
+
+class TestAnnealedEnginePinned:
+    """sha256 of (per_sample, hits) at K = 20 as computed before walk chunks
+    shared one arena: several chunks, and a short chunk after full ones.
+    c enters the substream key as given, so c = 2 and c = 2.0 differ."""
+
+    PINS = {
+        (2, 20000, 1): (
+            "e438182fae59242b6094a4c9db4fae343960fec70688b6acf348ee1b9ce568c0",
+            "913ab86569b48c4a12e237a021fb1286bfa688a0deb792318aff4e265d2d337f"),
+        (4, 16389, 2): (
+            "d22207edf378e0c2729355f37e4413b2fbba0d23ba4ffa93f6bf7e501d37631f",
+            "1e3bbe9fa72d53f6c5770f02a19ab2c03737f6a159738772f2bc1bf56e58dcfc"),
+        (1.5, 8192, 3): (
+            "ed6d046433c38c538324ae14f25311d8a8028fc5e331de9f5b1565e007b44ad8",
+            "c888e8a80a7f4bee0b1a080f5456078835dc43889a801005909bdbd2b64bf4c3"),
+    }
+
+    @staticmethod
+    def digests(c, n, seed, executor=None):
+        per_sample, hits = _annealed_return_walks(c, 20, n, seed, executor)
+        return tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                     for a in (per_sample, hits))
+
+    def test_serial(self):
+        for key, pin in self.PINS.items():
+            assert self.digests(*key) == pin, key
+
+    def test_two_workers(self):
+        with ProcessPoolExecutor(max_workers=2) as ex:
+            for key, pin in self.PINS.items():
+                assert self.digests(*key, executor=ex) == pin, key
 
 
 class TestDecayDiagnostic:
