@@ -374,7 +374,7 @@ def _run_returns(v, cfg):
     with _pool(v["workers"]) as ex:
         reps = [estimate_return_integral(
                     c, v["K"], v["samples"],
-                    derive_seed(v["seed"], "returns", c), executor=ex)
+                    derive_seed(v["seed"], "returns", c), ex, v["workers"])
                 for c in v["c_grid"]]
     rows = [{"c": c, "K": v["K"], "n_samples": r.n_samples,
              "value": r.value, "stderr": r.stderr, "seed": r.seed}
@@ -384,8 +384,8 @@ def _run_returns(v, cfg):
 
 def _walk_f(v, c, ex):
     from .walk import estimate_f
-    return estimate_f(c, v["K"], v["samples"],
-                      derive_seed(v["seed"], "estimate_f", c), executor=ex)
+    seed = derive_seed(v["seed"], "estimate_f", c)
+    return estimate_f(c, v["K"], v["samples"], seed, ex, v["workers"])
 
 
 def _run_estimate_f(v, cfg):
@@ -418,7 +418,7 @@ def _run_decay(v, cfg):
     with _pool(v["workers"]) as ex:
         diag = pbar_decay_diagnostic(v["c"], v["K"], v["samples"],
                                      derive_seed(v["seed"], "decay", v["c"]),
-                                     executor=ex)
+                                     ex, v["workers"])
     rows = [{"k": k, "pbar": p, "stderr": se} for k, p, se in diag.rows]
     return rows, {"fit_slope": diag.fit_slope,
                   "fit_intercept": diag.fit_intercept}

@@ -20,8 +20,8 @@ has expectation sum_{k<=K} E[p_k]/k, the K-truncated return integral, so
 the estimator is unbiased for the same estimand with variance read off the
 sample.  Trees touched this way are never materialized beyond the walk's
 trace.  Walks go in chunks of 8192, each drawing from its own substream; a
-run of consecutive chunks reuses one node arena, and a process pool walks
-one run per worker, so the output does not depend on the pool.  Type-I
+run of consecutive chunks reuses one node arena, and an executor walks up
+to `workers` runs at once, so the output does not depend on the pool.  Type-I
 offspring counts invert the laws module's positive-Poisson table.
 """
 
@@ -268,20 +268,20 @@ def _walk_chunks(c: float, K: int, seed: int, starts, n_samples: int):
             at_root = cur < m
             if k % 2 == 0:
                 np.add(acc, 1.0 / k, out=acc, where=at_root)
-                hits[k] += np.count_nonzero(at_root)
+            hits[k] += np.count_nonzero(at_root)
     return per_sample, hits
 
 
 def _annealed_return_walks(c: float, K: int, n_samples: int, seed: int,
-                           executor=None):
+                           executor=None, workers=1):
     """Simulate one K-step walk per lazily grown two-type tree.
 
     Returns (per_sample, hits): per_sample[i] = sum of 1/k over the return
     times k <= K of walk i; hits[k] = number of walks at the root at step k.
-    With two or more chunks an executor walks one contiguous run per worker.
+    An executor maps the chunks, cut into at most `workers` runs, in order.
     """
     starts = range(0, n_samples, _WALK_CHUNK)
-    n = min(executor._max_workers, len(starts)) if executor else 1
+    n = min(workers, len(starts)) if executor else 1
     # the later runs take the spare chunks, as the last chunk may be short
     runs = [starts[len(starts) * i // n:len(starts) * (i + 1) // n]
             for i in range(n)]
@@ -291,16 +291,16 @@ def _annealed_return_walks(c: float, K: int, n_samples: int, seed: int,
 
 
 def estimate_return_integral(c: float, K: int, n_samples: int, seed: int,
-                             executor=None) -> EstimateReport:
+                             executor=None, workers=1) -> EstimateReport:
     """Monte Carlo estimate of the K-truncated annealed return integral
     sum_{k<=K} E[p_k]/k under the survival-conditioned tree at parameter c.
-    An executor (a process pool) walks the chunks; the result is the same."""
+    An executor walks the chunks in up to `workers` runs; same result."""
     _validate_estimator_args(c, K, n_samples)
     t0 = time.perf_counter()
-    per_sample, _ = _annealed_return_walks(c, K, n_samples, seed, executor)
+    walks, _ = _annealed_return_walks(c, K, n_samples, seed, executor, workers)
     return EstimateReport(
-        value=float(per_sample.mean()),
-        stderr=float(per_sample.std(ddof=1) / math.sqrt(n_samples)),
+        value=float(walks.mean()),
+        stderr=float(walks.std(ddof=1) / math.sqrt(n_samples)),
         n_samples=n_samples,
         truncation={"K": K, "depth": K // 2 + 1},
         seed=seed,
@@ -308,7 +308,7 @@ def estimate_return_integral(c: float, K: int, n_samples: int, seed: int,
 
 
 def estimate_f(c: float, K: int, n_samples: int, seed: int,
-               executor=None) -> EstimateReport:
+               executor=None, workers=1) -> EstimateReport:
     """Spanning-tree entropy estimate: analytic E[log deg] minus the Monte
     Carlo return integral.  All sampling variance sits in the walk part;
     truncating at K can only push the estimate up (dropped terms are
@@ -316,7 +316,7 @@ def estimate_f(c: float, K: int, n_samples: int, seed: int,
     _validate_estimator_args(c, K, n_samples)
     t0 = time.perf_counter()
     eld = expected_log_degree(extinction_prob(c))
-    ret = estimate_return_integral(c, K, n_samples, seed, executor=executor)
+    ret = estimate_return_integral(c, K, n_samples, seed, executor, workers)
     return EstimateReport(
         value=eld - ret.value,
         stderr=ret.stderr,
@@ -327,10 +327,10 @@ def estimate_f(c: float, K: int, n_samples: int, seed: int,
 
 
 def pbar_decay_diagnostic(c: float, K: int, n_samples: int, seed: int,
-                          executor=None) -> DecayDiagnostic:
+                          executor=None, workers=1) -> DecayDiagnostic:
     """Per-k annealed return-probability table with the decay fit."""
     _validate_estimator_args(c, K, n_samples)
-    _, hits = _annealed_return_walks(c, K, n_samples, seed, executor)
+    _, hits = _annealed_return_walks(c, K, n_samples, seed, executor, workers)
     rows = []
     for k in range(1, K + 1):
         p = hits[k] / n_samples

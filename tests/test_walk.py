@@ -2,7 +2,7 @@
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -297,7 +297,8 @@ class TestAnnealedEnginePinned:
 
     @staticmethod
     def digests(c, n, seed, executor=None):
-        per_sample, hits = _annealed_return_walks(c, 20, n, seed, executor)
+        per_sample, hits = _annealed_return_walks(c, 20, n, seed, executor,
+                                                  workers=2)
         return tuple(hashlib.sha256(a.tobytes()).hexdigest()
                      for a in (per_sample, hits))
 
@@ -307,6 +308,12 @@ class TestAnnealedEnginePinned:
 
     def test_two_workers(self):
         with ProcessPoolExecutor(max_workers=2) as ex:
+            for key, pin in self.PINS.items():
+                assert self.digests(*key, executor=ex) == pin, key
+
+    def test_any_executor(self):
+        # the run count comes from `workers`, not from the executor's fields
+        with ThreadPoolExecutor(max_workers=2) as ex:
             for key, pin in self.PINS.items():
                 assert self.digests(*key, executor=ex) == pin, key
 
