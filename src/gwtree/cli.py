@@ -3,19 +3,24 @@
     gwtree <subcommand> [--flags]
 
 Subcommands: params, bounds, verify-domination, couple, returns,
-estimate-f, empirical-f, decay, crosscheck.  Flags mirror config-file keys
-one to one; a config file is flat `key = value` text and explicit flags
-override it.  Output is a single JSON document or a CSV table (frozen
-column order per subcommand, documented in the README), always embedding
-the resolved config and the code version.  Identical config + seed gives
-byte-identical output files; nothing is written on failure.
+estimate-f, empirical-f, decay, crosscheck.  Each is one _COMMANDS entry
+(help, runner, CSV columns, fields), from which come the parser, the
+config-file keys, the defaults, the field checks and the embedded config.
+A config file is flat `key = value` text setting the command's own keys or
+format, seed, out and workers; explicit flags override it.  Flags and file
+values are read alike, so both embed grid fields as given and scalar fields
+as read.  Output is one JSON document or a CSV table (frozen column order
+per subcommand, documented in the README) embedding the resolved config and
+the code version.  Identical config + seed gives byte-identical output
+files; nothing is written on failure.
 
 All randomness flows from the single --seed through named substreams, so
 grid points, repetitions and walk chunks are reproducible independently of
 the worker pool (--workers, default GWTREE_THREADS or the CPU count, never
 above it).  A command opens one pool: the walk commands split each c's walk
-chunks over it, empirical-f its grid points.  A failure while a command runs
-exits with status 3 and one line.
+chunks over it, empirical-f its grid points.  A config that cannot run exits
+with status 2 before any work starts; a failure while a command runs exits
+with status 3.  Either way the error is one line.
 """
 
 from __future__ import annotations
@@ -29,52 +34,59 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, NamedTuple
 
-from . import __version__
+from . import __version__, analytic, domination, laws, spanning, trees, walk
 from .rng import derive_seed
 
-_FORMATS = ("json", "csv")
-
-_COLUMNS = {
-    "params": ["c", "q", "theta", "duality_residual"],
-    "bounds": ["c", "f_lower", "f_upper", "fprime_lower"],
-    "verify-domination": ["lambda", "mu", "beta", "kmax", "min_margin",
-                          "violated_at"],
-    "couple": ["sample", "lo_nodes", "hi_nodes", "le1_ok", "embedding_ok"],
-    "returns": ["c", "K", "n_samples", "value", "stderr", "seed"],
-    "estimate-f": ["c", "K", "n_samples", "value", "stderr", "elog_deg",
-                   "return_integral", "seed"],
-    "empirical-f": ["c", "n", "reps", "value", "stderr", "seed"],
-    "decay": ["k", "pbar", "stderr"],
-    "crosscheck": ["c", "walk_value", "walk_stderr", "spanning_value",
-                   "spanning_stderr", "discrepancy"],
-}
-
-# out/workers are execution details, not experiment parameters: identical
-# experiments must produce byte-identical files wherever and however they run
-_COMMON_KEYS = ("format", "seed")
-_CONFIG_KEYS = {
-    "params": ("c", "tol"),
-    "bounds": ("c",),
-    "verify-domination": ("lam", "mu", "beta", "kmax"),
-    "couple": ("lam", "mu", "depth", "samples"),
-    "returns": ("c", "K", "samples"),
-    "estimate-f": ("c", "K", "samples"),
-    "empirical-f": ("c", "n", "reps"),
-    "decay": ("c", "K", "samples"),
-    "crosscheck": ("c", "n", "reps", "samples", "K"),
-}
+_REQUIRED = object()  # the default of a field with no default
 
 
 class ConfigError(Exception):
     pass
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(x) for x in str(text).split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse float list from {text!r}") from exc
+class _Field(NamedTuple):
+    """One input.  `read` turns a flag's or a file's text into the value
+    embedded in the output; a grid keeps its text, checked as comma-separated
+    floats that must each pass `check`, as a set scalar must."""
+    read: Callable
+    default: object = _REQUIRED
+    check: Callable | None = None
+    msg: str = ""
+    grid: bool = False
+    help: str | None = None
+
+
+def _writable_dir(path):
+    where = os.path.dirname(os.path.abspath(path))
+    return os.path.isdir(where) and os.access(where, os.W_OK)
+
+
+_C = _Field(float, check=lambda v: math.isfinite(v) and v > 1.0,
+           msg="must be finite and > 1")
+_C_GRID = _C._replace(read=str, grid=True, help="comma-separated c grid")
+_K = _Field(int, 60, lambda v: v >= 20 and v % 2 == 0, "must be even and >= 20")
+_WALKS = _Field(int, 100_000, lambda v: v >= 2, "must be >= 2")
+_N = _Field(int, 1500, lambda v: 1 <= v <= spanning.FACTORIZATION_CAP,
+            f"must lie in [1, {spanning.FACTORIZATION_CAP}]")
+_REPS = _Field(int, 20, lambda v: v >= 1, "must be >= 1")
+
+# out/workers are execution details, not experiment parameters: identical
+# experiments must produce byte-identical files wherever and however they run
+_EMBEDDED = {"format": _Field(str, "json", ("json", "csv").__contains__,
+                              "must be json or csv", help="json or csv"),
+             "seed": _Field(int, 0)}
+_EXECUTION = {
+    "out": _Field(lambda text: text or None, None, _writable_dir,  # "": stdout
+                  "its directory must exist and be writable",
+                  help="output path (default: stdout)"),
+    "workers": _Field(int, None, help="worker processes (default: "
+                                      "GWTREE_THREADS or CPU count)")}
+
+
+def _fields(cmd: str) -> dict:
+    return {**_EMBEDDED, **_COMMANDS[cmd].fields, **_EXECUTION}
 
 
 def _read_config_file(path: str) -> dict:
@@ -101,197 +113,87 @@ def _build_parser() -> argparse.ArgumentParser:
         description="samplers, domination checks, and entropy estimators "
                     "for the supercritical branching-tree toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for cmd, spec in _COMMANDS.items():
+        p = sub.add_parser(cmd, help=spec.help)
         p.add_argument("--config", default=None,
                        help="flat key=value config file; flags override")
-        p.add_argument("--out", default=None,
-                       help="output path (default: stdout)")
-        p.add_argument("--format", default=None, choices=_FORMATS)
-        p.add_argument("--seed", default=None, type=int)
-        p.add_argument("--workers", default=None, type=int,
-                       help="worker processes (default: GWTREE_THREADS "
-                            "or CPU count)")
-
-    p = sub.add_parser("params", help="extinction/survival probabilities")
-    common(p)
-    p.add_argument("--c", default=None, help="comma-separated c grid")
-    p.add_argument("--tol", default=None, type=float)
-
-    p = sub.add_parser("bounds", help="entropy bounds grid")
-    common(p)
-    p.add_argument("--c", default=None)
-
-    p = sub.add_parser("verify-domination",
-                       help="exact offspring tail-domination check")
-    common(p)
-    p.add_argument("--lambda", dest="lam", default=None,
-                   help="comma-separated lambda grid")
-    p.add_argument("--mu", default=None, help="comma-separated mu grid")
-    p.add_argument("--beta", default=None, type=float,
-                   help="added Poisson mass (default: alpha(lambda, mu))")
-    p.add_argument("--kmax", default=None, type=int)
-
-    p = sub.add_parser("couple", help="coupled tree pairs with audit")
-    common(p)
-    p.add_argument("--lambda", dest="lam", default=None, type=float)
-    p.add_argument("--mu", default=None, type=float)
-    p.add_argument("--depth", default=None, type=int)
-    p.add_argument("--samples", default=None, type=int)
-
-    for name, help_text in [
-            ("returns", "Monte Carlo truncated return integral"),
-            ("estimate-f", "entropy estimate via the walk pipeline")]:
-        p = sub.add_parser(name, help=help_text)
-        common(p)
-        p.add_argument("--c", default=None)
-        p.add_argument("--K", default=None, type=int)
-        p.add_argument("--samples", default=None, type=int)
-
-    p = sub.add_parser("empirical-f",
-                       help="entropy estimate via giant-component counting")
-    common(p)
-    p.add_argument("--c", default=None)
-    p.add_argument("--n", default=None, type=int)
-    p.add_argument("--reps", default=None, type=int)
-
-    p = sub.add_parser("decay", help="annealed return-probability decay table")
-    common(p)
-    p.add_argument("--c", default=None, type=float)
-    p.add_argument("--K", default=None, type=int)
-    p.add_argument("--samples", default=None, type=int)
-
-    p = sub.add_parser("crosscheck",
-                       help="both entropy pipelines and their discrepancy")
-    common(p)
-    p.add_argument("--c", default=None, type=float)
-    p.add_argument("--n", default=None, type=int)
-    p.add_argument("--reps", default=None, type=int)
-    p.add_argument("--samples", default=None, type=int)
-    p.add_argument("--K", default=None, type=int)
+        for key, f in _fields(cmd).items():
+            p.add_argument("--lambda" if key == "lam" else f"--{key}",
+                           dest=key, default=None, type=f.read, help=f.help)
     return parser
 
 
-_DEFAULTS = {
-    "format": "json", "seed": 0, "tol": 1e-12, "kmax": 200, "depth": 6,
-    "samples": 100_000, "K": 60, "n": 1500, "reps": 20, "beta": None,
-    "out": None, "workers": None,
-}
-
-
 def _resolve(args: argparse.Namespace) -> dict:
-    """defaults <- config file <- explicit flags, with type coercion."""
-    cfg = dict(_DEFAULTS)
-    if args.command == "couple":
-        cfg["samples"] = 8
+    """defaults <- config file <- explicit flags, each read by its field."""
+    fields = _fields(args.command)
+    cfg = {key: f.default for key, f in fields.items()}
     file_cfg = _read_config_file(args.config) if args.config else {}
-    casts = {"seed": int, "kmax": int, "depth": int, "samples": int, "K": int,
-             "n": int, "reps": int, "workers": int, "tol": float,
-             "beta": float, "mu": str, "lam": str, "c": str, "format": str,
-             "out": str}
     for key, val in file_cfg.items():
-        if key not in casts and key not in ("c", "lam", "mu"):
+        if key not in fields:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            cfg[key] = casts.get(key, str)(val)
+            cfg[key] = fields[key].read(val)
         except ValueError as exc:
             raise ConfigError(f"{args.config}: {key}: {exc}") from None
-    for key, val in vars(args).items():
-        if key in ("command", "config") or val is None:
-            continue
-        cfg[key] = val
-    cfg["command"] = args.command
-    if cfg["format"] not in _FORMATS:
-        raise ConfigError(f"format must be one of {_FORMATS}, got {cfg['format']}")
+    cfg.update((key, val) for key, val in vars(args).items()
+               if key in fields and val is not None)
     return cfg
 
 
-def _need(cfg: dict, key: str, kind, cond=None, msg: str = ""):
-    if key not in cfg or cfg[key] is None:
-        raise ConfigError(f"{key}: required for '{cfg['command']}'")
-    try:
-        val = kind(cfg[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-    if cond is not None and not cond(val):
-        raise ConfigError(f"{key}: {msg}, got {cfg[key]!r}")
-    return val
-
-
-def _validated_inputs(cfg: dict) -> dict:
-    """Field-level validation of every numeric input before any work starts."""
-    cmd = cfg["command"]
-    out = {"seed": _need(cfg, "seed", int),
-           "workers": _worker_count(cfg.get("workers"))}
-    if cfg.get("out"):
-        where = os.path.dirname(os.path.abspath(cfg["out"]))
-        if not (os.path.isdir(where) and os.access(where, os.W_OK)):
-            raise ConfigError(f"out: directory {where} does not exist or is "
-                              "not writable")
-    if cmd in ("params", "bounds", "returns", "estimate-f", "empirical-f"):
-        cs = _need(cfg, "c", _float_list, lambda v: len(v) > 0, "need >= 1 value")
-        for c in cs:
-            if not (c > 1.0 and math.isfinite(c)):
-                raise ConfigError(f"c: every value must be finite and > 1, got {c}")
-        out["c_grid"] = cs
-    if cmd in ("decay", "crosscheck"):
-        out["c"] = _need(cfg, "c", float, lambda v: v > 1.0 and math.isfinite(v),
-                         "must be finite and > 1")
-        cs = [out["c"]]
-    if cmd == "params":
-        out["tol"] = _need(cfg, "tol", float, lambda v: 0 < v <= 1e-6,
-                           "must lie in (0, 1e-6]")
+def _validated_inputs(cmd: str, cfg: dict) -> dict:
+    """Every field's check, then the checks that join fields or need the
+    laws, all before any work starts."""
+    v = {}
+    for key, f in _fields(cmd).items():
+        val = cfg[key]
+        if val is _REQUIRED:
+            raise ConfigError(f"{key}: required for '{cmd}'")
+        if f.grid:
+            try:
+                val = [float(x) for x in val.split(",") if x.strip() != ""]
+            except ValueError:
+                raise ConfigError(f"{key}: cannot parse float list from "
+                                  f"{val!r}") from None
+            if not val:
+                raise ConfigError(f"{key}: need >= 1 value")
+        if f.check is not None and val is not None:
+            for x in val if f.grid else [val]:
+                if not f.check(x):
+                    raise ConfigError(f"{key}: {f.msg}, got {x!r}")
+        v[key] = val
+    v["workers"] = _worker_count(v["workers"])
     if cmd == "verify-domination":
-        lams = _need(cfg, "lam", _float_list, lambda v: len(v) > 0, "need values")
-        mus = _need(cfg, "mu", _float_list, lambda v: len(v) > 0, "need values")
-        pairs = [(l, m) for l in lams for m in mus if m > l > 0.0]
-        if not pairs:
+        v["pairs"] = [(l, m) for l in v["lam"] for m in v["mu"] if m > l > 0.0]
+        if not v["pairs"]:
             raise ConfigError("lam/mu: no pair satisfies mu > lambda > 0")
-        out["pairs"] = pairs
-        out["kmax"] = _need(cfg, "kmax", int, lambda v: v >= 50, "must be >= 50")
-        out["beta"] = cfg.get("beta")
     if cmd == "couple":
-        lam = _need(cfg, "lam", float)
-        mu = _need(cfg, "mu", float)
-        if not (mu > lam > 1.0):
-            raise ConfigError(f"lam/mu: need mu > lambda > 1, got {lam}, {mu}")
-        from .domination import _coupled_sampler
+        lam, mu = v["lam"], v["mu"]
+        if not mu > lam:
+            raise ConfigError(f"lam/mu: need mu > lambda, got {lam}, {mu}")
         try:
-            _coupled_sampler(lam, mu)
+            domination._coupled_sampler(lam, mu)
         except ArithmeticError as exc:
             raise ConfigError(
                 f"lam/mu: cannot couple at {lam}, {mu}: {exc}") from None
-        out["lam"], out["mu"] = lam, mu
-        out["depth"] = _need(cfg, "depth", int, lambda v: v >= 1, "must be >= 1")
-        out["samples"] = _need(cfg, "samples", int, lambda v: v >= 1, "must be >= 1")
-    if cmd in ("returns", "estimate-f", "decay", "crosscheck"):
-        out["K"] = _need(cfg, "K", int, lambda v: v >= 20 and v % 2 == 0,
-                         "must be even and >= 20")
-        out["samples"] = _need(cfg, "samples", int, lambda v: v >= 2,
-                               "must be >= 2")
-        from .analytic import extinction_prob
-        from .laws import positive_poisson_cdf
-        for c in cs:
-            try:
-                positive_poisson_cdf(extinction_prob(c).ctheta)
-            except ArithmeticError as exc:
-                raise ConfigError(f"c: cannot sample at {c}: {exc}") from None
-    if cmd in ("empirical-f", "crosscheck"):
-        from .spanning import FACTORIZATION_CAP
-        out["n"] = _need(cfg, "n", int, lambda v: 1 <= v <= FACTORIZATION_CAP,
-                         f"must lie in [1, {FACTORIZATION_CAP}]")
-        out["reps"] = _need(cfg, "reps", int, lambda v: v >= 1, "must be >= 1")
-        if max(cs) > out["n"]:
-            raise ConfigError(f"c: must not exceed n = {out['n']} "
-                              f"(edge probability c/n), got {max(cs)}")
-    return out
+    cs = v["c"] if isinstance(v.get("c"), list) else [v.get("c")]
+    for c in cs:
+        try:
+            if cmd in ("returns", "estimate-f", "decay", "crosscheck"):
+                laws.positive_poisson_cdf(analytic.extinction_prob(c).ctheta)
+            if cmd in ("bounds", "estimate-f", "crosscheck"):
+                analytic.expected_log_degree(analytic.extinction_prob(c))
+        except ArithmeticError as exc:
+            raise ConfigError(f"c: cannot run {cmd} at {c}: {exc}") from None
+    if cmd in ("empirical-f", "crosscheck") and max(cs) > v["n"]:
+        raise ConfigError(f"c: must not exceed n = {v['n']} "
+                          f"(edge probability c/n), got {max(cs)}")
+    return v
 
 
 # --- worker pools ------------------------------------------------------------
 
 def _task_empirical_f(kw):
-    from .spanning import empirical_f
-    return empirical_f(**kw).to_dict()
+    return spanning.empirical_f(**kw).to_dict()
 
 
 def _worker_count(cfg_workers) -> int:
@@ -318,42 +220,35 @@ def _parallel(task, kwargs_list, workers: int):
 
 # --- command runners ---------------------------------------------------------
 
-def _run_params(v, cfg):
-    from .analytic import extinction_prob
+def _run_params(v):
     rows = []
-    for c in v["c_grid"]:
-        p = extinction_prob(c, v["tol"])
+    for c in v["c"]:
+        p = analytic.extinction_prob(c, v["tol"])
         rows.append({"c": c, "q": p.q, "theta": p.theta,
                      "duality_residual": p.duality_residual()})
     return rows, {}
 
 
-def _run_bounds(v, cfg):
-    from .analytic import extinction_prob, f_bounds
+def _run_bounds(v):
     rows = []
-    for c in v["c_grid"]:
-        b = f_bounds(extinction_prob(c))
+    for c in v["c"]:
+        b = analytic.f_bounds(analytic.extinction_prob(c))
         rows.append({"c": c, "f_lower": b.f_lower, "f_upper": b.f_upper,
                      "fprime_lower": b.fprime_lower})
     return rows, {}
 
 
-def _run_verify_domination(v, cfg):
-    from .domination import verify_tail_domination
-    rows = []
-    for lam, mu in v["pairs"]:
-        rep = verify_tail_domination(lam, mu, beta=v["beta"], kmax=v["kmax"])
-        rows.append(rep.to_dict())
-    return rows, {}
+def _run_verify_domination(v):
+    return [domination.verify_tail_domination(
+                lam, mu, beta=v["beta"], kmax=v["kmax"]).to_dict()
+            for lam, mu in v["pairs"]], {}
 
 
-def _run_couple(v, cfg):
-    from .domination import sample_coupled_trees
-    from .trees import tree_to_text
+def _run_couple(v):
     rows, details = [], []
     for i in range(v["samples"]):
-        pair = sample_coupled_trees(v["lam"], v["mu"], v["depth"],
-                                    derive_seed(v["seed"], "couple", i))
+        pair = domination.sample_coupled_trees(
+            v["lam"], v["mu"], v["depth"], derive_seed(v["seed"], "couple", i))
         ok_emb = True
         try:
             pair.validate_embedding()
@@ -363,38 +258,35 @@ def _run_couple(v, cfg):
         rows.append({"sample": i, "lo_nodes": len(pair.lo),
                      "hi_nodes": len(pair.hi), "le1_ok": ok_le1,
                      "embedding_ok": ok_emb})
-        details.append({"sample": i, "lo": tree_to_text(pair.lo),
-                        "hi": tree_to_text(pair.hi),
+        details.append({"sample": i, "lo": trees.tree_to_text(pair.lo),
+                        "hi": trees.tree_to_text(pair.hi),
                         "node_map": sorted(pair.node_map.items())})
     return rows, {"samples_detail": details}
 
 
-def _run_returns(v, cfg):
-    from .walk import estimate_return_integral
+def _run_returns(v):
     with _pool(v["workers"]) as ex:
-        reps = [estimate_return_integral(
+        reps = [walk.estimate_return_integral(
                     c, v["K"], v["samples"],
                     derive_seed(v["seed"], "returns", c), ex, v["workers"])
-                for c in v["c_grid"]]
+                for c in v["c"]]
     rows = [{"c": c, "K": v["K"], "n_samples": r.n_samples,
              "value": r.value, "stderr": r.stderr, "seed": r.seed}
-            for c, r in zip(v["c_grid"], reps)]
+            for c, r in zip(v["c"], reps)]
     return rows, {}
 
 
 def _walk_f(v, c, ex):
-    from .walk import estimate_f
     seed = derive_seed(v["seed"], "estimate_f", c)
-    return estimate_f(c, v["K"], v["samples"], seed, ex, v["workers"])
+    return walk.estimate_f(c, v["K"], v["samples"], seed, ex, v["workers"])
 
 
-def _run_estimate_f(v, cfg):
-    from .analytic import expected_log_degree, extinction_prob
+def _run_estimate_f(v):
     rows = []
     with _pool(v["workers"]) as ex:
-        for c in v["c_grid"]:
+        for c in v["c"]:
             r = _walk_f(v, c, ex)
-            eld = expected_log_degree(extinction_prob(c))
+            eld = analytic.expected_log_degree(analytic.extinction_prob(c))
             rows.append({"c": c, "K": v["K"], "n_samples": r.n_samples,
                          "value": r.value, "stderr": r.stderr,
                          "elog_deg": eld, "return_integral": eld - r.value,
@@ -402,29 +294,28 @@ def _run_estimate_f(v, cfg):
     return rows, {}
 
 
-def _run_empirical_f(v, cfg):
+def _run_empirical_f(v):
     tasks = [{"n": v["n"], "c": c, "reps": v["reps"],
               "seed": derive_seed(v["seed"], "empirical_f", c)}
-             for c in v["c_grid"]]
+             for c in v["c"]]
     reps = _parallel(_task_empirical_f, tasks, v["workers"])
     rows = [{"c": c, "n": v["n"], "reps": r["n_samples"], "value": r["value"],
              "stderr": r["stderr"], "seed": r["seed"]}
-            for c, r in zip(v["c_grid"], reps)]
+            for c, r in zip(v["c"], reps)]
     return rows, {}
 
 
-def _run_decay(v, cfg):
-    from .walk import pbar_decay_diagnostic
+def _run_decay(v):
     with _pool(v["workers"]) as ex:
-        diag = pbar_decay_diagnostic(v["c"], v["K"], v["samples"],
-                                     derive_seed(v["seed"], "decay", v["c"]),
-                                     ex, v["workers"])
+        diag = walk.pbar_decay_diagnostic(
+            v["c"], v["K"], v["samples"],
+            derive_seed(v["seed"], "decay", v["c"]), ex, v["workers"])
     rows = [{"k": k, "pbar": p, "stderr": se} for k, p, se in diag.rows]
     return rows, {"fit_slope": diag.fit_slope,
                   "fit_intercept": diag.fit_intercept}
 
 
-def _run_crosscheck(v, cfg):
+def _run_crosscheck(v):
     with _pool(v["workers"]) as ex:
         walk_rep = _walk_f(v, v["c"], ex)
     span_rep = _task_empirical_f({"n": v["n"], "c": v["c"], "reps": v["reps"],
@@ -438,27 +329,70 @@ def _run_crosscheck(v, cfg):
     return rows, {}
 
 
-_RUNNERS = {
-    "params": _run_params,
-    "bounds": _run_bounds,
-    "verify-domination": _run_verify_domination,
-    "couple": _run_couple,
-    "returns": _run_returns,
-    "estimate-f": _run_estimate_f,
-    "empirical-f": _run_empirical_f,
-    "decay": _run_decay,
-    "crosscheck": _run_crosscheck,
+class _Command(NamedTuple):
+    help: str
+    run: Callable
+    columns: tuple
+    fields: dict
+
+
+_COMMANDS = {
+    "params": _Command(
+        "extinction/survival probabilities", _run_params,
+        ("c", "q", "theta", "duality_residual"),
+        {"c": _C_GRID, "tol": _Field(float, 1e-12, lambda v: 0 < v <= 1e-6,
+                                     "must lie in (0, 1e-6]")}),
+    "bounds": _Command(
+        "entropy bounds grid", _run_bounds,
+        ("c", "f_lower", "f_upper", "fprime_lower"), {"c": _C_GRID}),
+    "verify-domination": _Command(
+        "exact offspring tail-domination check", _run_verify_domination,
+        ("lambda", "mu", "beta", "kmax", "min_margin", "violated_at"),
+        {"lam": _Field(str, check=math.isfinite, msg="must be finite",
+                       grid=True, help="comma-separated lambda grid"),
+         "mu": _Field(str, check=math.isfinite, msg="must be finite",
+                      grid=True, help="comma-separated mu grid"),
+         "beta": _Field(float, None, lambda v: math.isfinite(v) and v >= 0,
+                        "must be finite and >= 0",
+                        help="added Poisson mass (default: alpha(lambda, mu))"),
+         "kmax": _Field(int, 200, lambda v: v >= 50, "must be >= 50")}),
+    "couple": _Command(
+        "coupled tree pairs with audit", _run_couple,
+        ("sample", "lo_nodes", "hi_nodes", "le1_ok", "embedding_ok"),
+        {"lam": _C, "mu": _C,
+         "depth": _Field(int, 6, lambda v: v >= 1, "must be >= 1"),
+         "samples": _Field(int, 8, lambda v: v >= 1, "must be >= 1")}),
+    "returns": _Command(
+        "Monte Carlo truncated return integral", _run_returns,
+        ("c", "K", "n_samples", "value", "stderr", "seed"),
+        {"c": _C_GRID, "K": _K, "samples": _WALKS}),
+    "estimate-f": _Command(
+        "entropy estimate via the walk pipeline", _run_estimate_f,
+        ("c", "K", "n_samples", "value", "stderr", "elog_deg",
+         "return_integral", "seed"),
+        {"c": _C_GRID, "K": _K, "samples": _WALKS}),
+    "empirical-f": _Command(
+        "entropy estimate via giant-component counting", _run_empirical_f,
+        ("c", "n", "reps", "value", "stderr", "seed"),
+        {"c": _C_GRID, "n": _N, "reps": _REPS}),
+    "decay": _Command(
+        "annealed return-probability decay table", _run_decay,
+        ("k", "pbar", "stderr"), {"c": _C, "K": _K, "samples": _WALKS}),
+    "crosscheck": _Command(
+        "both entropy pipelines and their discrepancy", _run_crosscheck,
+        ("c", "walk_value", "walk_stderr", "spanning_value",
+         "spanning_stderr", "discrepancy"),
+        {"c": _C, "n": _N, "reps": _REPS, "samples": _WALKS, "K": _K}),
 }
 
 
-def _serializable_config(cfg: dict) -> dict:
-    keys = _CONFIG_KEYS[cfg["command"]] + _COMMON_KEYS
-    return {k: cfg.get(k) for k in sorted(keys)}
+def _serializable_config(cmd: str, cfg: dict) -> dict:
+    return {k: cfg[k] for k in sorted({**_EMBEDDED, **_COMMANDS[cmd].fields})}
 
 
 def _render_json(cmd, cfg, rows, extra) -> str:
     doc = {"command": cmd, "version": __version__,
-           "config": _serializable_config(cfg), "results": rows}
+           "config": _serializable_config(cmd, cfg), "results": rows}
     doc.update(extra)
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
                       default=str) + "\n"
@@ -467,12 +401,12 @@ def _render_json(cmd, cfg, rows, extra) -> str:
 def _render_csv(cmd, cfg, rows, extra) -> str:
     buf = io.StringIO()
     buf.write(f"# command={cmd}\n# version={__version__}\n")
-    for key, val in sorted(_serializable_config(cfg).items()):
+    for key, val in _serializable_config(cmd, cfg).items():
         buf.write(f"# {key}={val}\n")
     for key, val in sorted(extra.items()):
         if key != "samples_detail":
             buf.write(f"# {key}={val}\n")
-    cols = _COLUMNS[cmd]
+    cols = _COMMANDS[cmd].columns
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(cols)
     for row in rows:
@@ -493,24 +427,25 @@ def _sanitize(obj):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    cmd = args.command
     try:
         cfg = _resolve(args)
-        validated = _validated_inputs(cfg)
+        validated = _validated_inputs(cmd, cfg)
     except ConfigError as exc:
         print(f"gwtree: error: {exc}", file=sys.stderr)
         return 2
     try:
-        rows, extra = _RUNNERS[args.command](validated, cfg)
+        rows, extra = _COMMANDS[cmd].run(validated)
     except Exception as exc:  # a worker killed, memory exhausted, a bug
         what = " ".join(f"{type(exc).__name__}: {exc}".split())
-        print(f"gwtree: error: {args.command} failed: {what}", file=sys.stderr)
+        print(f"gwtree: error: {cmd} failed: {what}", file=sys.stderr)
         return 3
     rows = _sanitize(rows)
     extra = _sanitize(extra)
     if cfg["format"] == "json":
-        text = _render_json(args.command, cfg, rows, extra)
+        text = _render_json(cmd, cfg, rows, extra)
     else:
-        text = _render_csv(args.command, cfg, rows, extra)
+        text = _render_csv(cmd, cfg, rows, extra)
     if cfg["out"]:
         tmp = str(cfg["out"]) + ".tmp"
         try:

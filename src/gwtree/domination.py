@@ -359,7 +359,9 @@ class _CoupledSampler:
         self.cdf_loplus, self.cdf_ihi = _dominated_cdf_pair(
             self.rate_i_lo, self.alpha_star, self.rate_i_hi)
         self.shared_count_cdf = poisson_cdf(self.rate_f_hi)
-        self.shared_size_cdf = cdf_table(log_borel, self.rate_f_hi)
+        # rate 0 (q(mu) is 0.0 past mu of about 372.6): the point mass at 1
+        self.shared_size_cdf = (cdf_table(log_borel, self.rate_f_hi)
+                                if self.rate_f_hi > 0.0 else (1.0,))
         # sizes of lam-only bushes: pmf_k = (m_k(lam) - m_k(mu)) / g
         self.extra_size_cdf = cdf_table(log_bush_excess, lam, mu)
         self.qstar_hi_cdf = positive_poisson_cdf(self.rate_i_hi)

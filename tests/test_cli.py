@@ -1,11 +1,16 @@
 """CLI driver: validation, formats, reproducibility of output files."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwtree import cli
 from gwtree.cli import main
@@ -68,6 +73,29 @@ class TestValidation:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("gwtree: error: c:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cmd", [
+        ["bounds", "--c", "1e5"],
+        ["estimate-f", "--c", "150000", "--K", "20", "--samples", "2"]])
+    def test_unsettled_log_degree_series(self, tmp_path, capsys, cmd):
+        rc, out = run(tmp_path, "x.json", cmd + ["--workers", "1"])
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("gwtree: error: c:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cmd", [
+        ["verify-domination", "--lambda", "1", "--mu", "2", "--beta", "-1"],
+        ["verify-domination", "--lambda", "1", "--mu", "2", "--beta", "nan"],
+        ["verify-domination", "--lambda", "1", "--mu", "inf"],
+        ["couple", "--lambda", "1.2", "--mu", "inf"]])
+    def test_negative_or_nonfinite_value(self, tmp_path, capsys, cmd):
+        rc, out = run(tmp_path, "x.json", cmd)
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"gwtree: error: {cmd[-2][2:]}:")
+        assert err.count("\n") == 1
 
     def test_unknown_config_key(self, tmp_path):
         cfgfile = tmp_path / "bad.cfg"
@@ -165,9 +193,10 @@ class TestRuntimeFailure:
         BrokenProcessPool("A process in the process pool was terminated "
                           "abruptly")])
     def test_one_line_and_exit_3(self, tmp_path, monkeypatch, capsys, exc):
-        def boom(v, cfg):
+        def boom(v):
             raise exc
-        monkeypatch.setitem(cli._RUNNERS, "returns", boom)
+        monkeypatch.setitem(cli._COMMANDS, "returns",
+                            cli._COMMANDS["returns"]._replace(run=boom))
         rc, out = run(tmp_path, "r.json",
                       ["returns", "--c", "2", "--K", "20", "--samples", "10"])
         assert rc == 3
@@ -201,6 +230,29 @@ class TestConfigFile:
         assert len(doc["results"]) == 2
 
 
+    @pytest.mark.parametrize("cmd, key, text", [
+        (["decay", "--K", "20", "--samples", "2000"], "c", "2"),
+        (["couple", "--mu", "1.5", "--depth", "3", "--samples", "2"],
+         "lambda", "1.2")])
+    def test_file_value_embeds_like_flag(self, tmp_path, cmd, key, text):
+        cfgfile = tmp_path / "one.cfg"
+        cfgfile.write_text(f"{key} = {text}\n")
+        _, by_flag = run(tmp_path, "flag.json", cmd + [f"--{key}", text])
+        _, by_file = run(tmp_path, "file.json",
+                         cmd + ["--config", str(cfgfile)])
+        assert by_flag.read_bytes() == by_file.read_bytes()
+
+    def test_key_of_another_command(self, tmp_path, capsys):
+        cfgfile = tmp_path / "ret.cfg"
+        cfgfile.write_text("c = 2\nK = 20\nsamples = 10\nkmax = 77\n")
+        rc, out = run(tmp_path, "r.json",
+                      ["returns", "--config", str(cfgfile)])
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "gwtree: error: unknown config key 'kmax'\n"
+
+
 class TestOutput:
     def test_missing_directory_fails_before_work(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.json"
@@ -224,6 +276,15 @@ class TestCouple:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("gwtree: error: lam/mu:") and err.count("\n") == 1
+
+    def test_extinction_underflow_at_mu(self, tmp_path):
+        # q(mu) is 0.0 here, so the hi side has no finite bushes
+        rc, out = run(tmp_path, "cpl.json",
+                      ["couple", "--lambda", "1.5", "--mu", "400",
+                       "--depth", "1", "--samples", "1"])
+        assert rc == 0
+        row = json.loads(out.read_text())["results"][0]
+        assert row["le1_ok"] and row["embedding_ok"]
 
     def test_audit_passes(self, tmp_path):
         rc, out = run(tmp_path, "cpl.json",
@@ -278,3 +339,72 @@ class TestOtherCommands:
         row = json.loads(out.read_text())["results"][0]
         assert row["discrepancy"] == pytest.approx(
             abs(row["walk_value"] - row["spanning_value"]), abs=1e-12)
+
+
+_EDGE_TEXTS = ("nan", "inf", "-1", "0", "1", "1.0000001", "1.02", "2", "400",
+               "800", "1e5", "2e5", "1e300", "", "abc", "2,,3")
+# fields that set the amount of work always take one of these small values
+_SIZES = {"samples": ("2",), "K": ("20",), "n": ("2", "30"),
+          "reps": ("1", "2"), "depth": ("1", "2"), "kmax": ("50",)}
+
+
+# in how many of 4 examples a field is set (else 2): c, lambda and mu have no
+# default, and a bad format or seed would end most examples before the rest
+_SET_IN_4 = {"c": 4, "lam": 4, "mu": 4, "format": 1, "seed": 1}
+
+
+def _pair_fits(depth):
+    """Whether a couple pair at this mu text stays small: its hi tree has
+    about mu^(depth + 1) nodes."""
+    def fits(text):
+        try:
+            mu = float(text)
+        except ValueError:
+            return True
+        return not (math.isfinite(mu) and mu > 2e5 ** (1 / (depth + 1)))
+    return fits
+
+
+@st.composite
+def _fuzzed_config(draw):
+    cmd = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    values = {key: draw(st.sampled_from(_SIZES[key]))
+              for key in cli._COMMANDS[cmd].fields if key in _SIZES}
+    for key in ["format", "seed", *cli._COMMANDS[cmd].fields]:
+        texts = _EDGE_TEXTS + (("json", "csv") if key == "format" else ())
+        if cmd == "couple" and key == "mu":
+            texts = tuple(filter(_pair_fits(int(values["depth"])), texts))
+        if key not in _SIZES and draw(st.integers(0, 3)) < _SET_IN_4.get(key, 2):
+            values[key] = draw(st.sampled_from(texts))
+    return cmd, values
+
+
+def _outcome(argv):
+    """main's status and stdout; it may raise only argparse's exit."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    except SystemExit as exc:  # argparse rejects a flag's text
+        assert exc.code == 2, argv
+        return 2, ""
+    assert rc in (0, 2), (argv, err.getvalue())
+    assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
+    return rc, out.getvalue()
+
+
+class TestFuzz:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_fuzzed_config())
+    def test_flags_and_file_exit_2_or_run_alike(self, config):
+        cmd, values = config
+        by_flag = [cmd, "--workers", "1"]
+        for key, val in values.items():
+            by_flag += ["--lambda" if key == "lam" else f"--{key}", val]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.cfg")
+            with open(path, "w") as fh:
+                fh.writelines(f"{'lambda' if k == 'lam' else k} = {v}\n"
+                              for k, v in values.items())
+            by_file = _outcome([cmd, "--workers", "1", "--config", path])
+        assert _outcome(by_flag) == by_file, by_flag
