@@ -9,7 +9,9 @@ one, and the child-size domination check passes at every coupled vertex.
 import gwtree as gw
 from gwtree.trees import tree_to_text
 
-pair = gw.sample_coupled_trees(1.2, 1.5, depth=3, seed=8)
+# the sampler leaves the mu-only subtrees of the hi tree open (a walk grows
+# them on first visit); complete() grows them to the horizon
+pair = gw.sample_coupled_trees(1.2, 1.5, depth=3, seed=8).complete()
 
 print(f"lo tree ({pair.lam}): {len(pair.lo)} nodes   "
       f"hi tree ({pair.mu}): {len(pair.hi)} nodes")

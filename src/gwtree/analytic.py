@@ -33,6 +33,7 @@ below 1e-12 and at least three consecutive terms decrease.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -94,6 +95,9 @@ def _require_finite(name, x):
         raise ValueError(f"{name} must be finite, got {x!r}")
 
 
+_TINY = sys.float_info.min
+
+
 def _bisect_q(c: float) -> float:
     # h(q) = q - exp(-c(1-q)) is < 0 on (0, q*) and > 0 on (q*, 1) for c > 1,
     # so plain bisection on (0, 1) converges to the smallest root.
@@ -129,8 +133,13 @@ def extinction_prob(c: float, tol: float = 1e-12) -> GWParams:
             q1 = math.exp(-c * (1.0 - q))
             q2 = math.exp(-c * (1.0 - q1))
             denom = q2 - 2.0 * q1 + q
-            # Aitken step; guard the degenerate denominator at convergence.
-            q_next = q2 if denom == 0.0 else q - (q1 - q) ** 2 / denom
+            sq = (q1 - q) ** 2
+            # Aitken step; guard the degenerate denominator at convergence,
+            # and a square that underflows (a subnormal keeps too few
+            # digits): from q = 0 that happens for c past about 354.2, where
+            # q1 = e^{-c} and q2 already equals q to working precision.
+            q_next = (q2 if denom == 0.0 or sq < _TINY and q1 != q
+                      else q - sq / denom)
             if not (0.0 <= q_next < 1.0):
                 q_next = q2
             if abs(q_next - q) < 0.25 * tol:

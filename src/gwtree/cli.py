@@ -140,6 +140,25 @@ def _resolve(args: argparse.Namespace) -> dict:
     return cfg
 
 
+# Most nodes one complete couple pair may hold.  A run takes about 160 bytes
+# a node (--lambda 50 --mu 800 --depth 1, 6.9e5 hi nodes, peaked at 175 MB),
+# so this keeps one below about half a gigabyte.
+_COUPLE_NODE_BUDGET = 2_000_000
+
+
+def _complete_hi_nodes(mu: float, depth: int) -> float:
+    """Expected size of a complete hi tree: m^d type-I nodes at each depth
+    d <= depth, each with bushes of mean total size mu q/(1 - mu q), and
+    m^(depth+1) frontier stubs, where m = E[Q*(mu theta)]."""
+    p = analytic.extinction_prob(mu)
+    m = p.ctheta / -math.expm1(-p.ctheta)
+    try:
+        return (sum(m ** d for d in range(depth + 1)) * (1 + p.cq / (1 - p.cq))
+                + m ** (depth + 1))
+    except OverflowError:
+        return math.inf
+
+
 def _validated_inputs(cmd: str, cfg: dict) -> dict:
     """Every field's check, then the checks that join fields or need the
     laws, all before any work starts."""
@@ -175,6 +194,12 @@ def _validated_inputs(cmd: str, cfg: dict) -> dict:
         except ArithmeticError as exc:
             raise ConfigError(
                 f"lam/mu: cannot couple at {lam}, {mu}: {exc}") from None
+        nodes = _complete_hi_nodes(mu, v["depth"])
+        if nodes > _COUPLE_NODE_BUDGET:
+            raise ConfigError(
+                f"mu/depth: a pair at mu = {mu}, depth {v['depth']} holds "
+                f"about {nodes:.3g} nodes, over the budget of "
+                f"{_COUPLE_NODE_BUDGET:,}")
     cs = v["c"] if isinstance(v.get("c"), list) else [v.get("c")]
     for c in cs:
         try:
@@ -248,7 +273,8 @@ def _run_couple(v):
     rows, details = [], []
     for i in range(v["samples"]):
         pair = domination.sample_coupled_trees(
-            v["lam"], v["mu"], v["depth"], derive_seed(v["seed"], "couple", i))
+            v["lam"], v["mu"], v["depth"],
+            derive_seed(v["seed"], "couple", i)).complete()
         ok_emb = True
         try:
             pair.validate_embedding()

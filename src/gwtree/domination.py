@@ -35,6 +35,14 @@ witness is the infinite subtree size of the image).
 Its tables come from laws.cdf_table; below lam of about 1.02 the bush-size
 tables cannot close and _CoupledSampler raises ArithmeticError.
 
+The spare (mu-only) type-I children of the hi side are left open, like the
+frontier stubs past the horizon: their subtrees do not depend on the
+coupling, nothing in the node map lies below them, and both audits read
+only their roots (type I, so N = inf).  A killed walk with grow=mu draws
+them on first visit with the same marginal law; CoupledPair.complete()
+grows them to the horizon instead, from its own substream
+(seed, "couple-hi", lam, mu).
+
 A pair takes its draws in traversal order from one buffer of uniforms
 refilled from substream (seed, "couple", lam, mu): counts and sizes invert
 their tables, the thinning is W Bernoulli trials, and a size-k bush shape is
@@ -225,6 +233,9 @@ class CoupledPair:
     and the roots of lo-only extra bushes (whose images are spare type-I
     children on the hi side).  Interiors of extra bushes are unmapped;
     their domination witness is the infinite subtree size of the image.
+
+    As sampled, the spare type-I children on the hi side are open stubs at
+    any depth; complete() grows them to the horizon.
     """
 
     lo: RootedTree
@@ -235,6 +246,23 @@ class CoupledPair:
     mu: float
     depth: int
     seed: int
+
+    def complete(self) -> CoupledPair:
+        """Grow every open type-I node of hi at depth <= self.depth to the
+        horizon with the marginal two-type law at mu, drawing from substream
+        (seed, "couple-hi", lam, mu); lo, node_map and root_couple do not
+        change, nor does a complete pair.  Returns the pair."""
+        hi = self.hi
+        stubs = np.flatnonzero(hi.open_ & (hi.depth <= self.depth)).tolist()
+        if stubs:
+            t = (hi.parent.tolist(), hi.depth.tolist(), hi.ntype.tolist())
+            draw = _uniforms(substream(self.seed, "couple-hi", self.lam,
+                                       self.mu))
+            grow = _coupled_sampler(self.lam, self.mu)._expand_marginal_hi
+            for x in stubs:
+                grow(t, x, self.depth, draw)
+            self.hi = _arena(t)
+        return self
 
     def validate_embedding(self) -> None:
         """Injectivity, root preservation, parent compatibility, and
@@ -335,11 +363,19 @@ def _graft(t: tuple, p: int, shape) -> int:
     return w
 
 
-def _arena(t: tuple, depth: int) -> RootedTree:
-    """The RootedTree of the arena lists t, type-I nodes past depth open."""
+def _arena(t: tuple) -> RootedTree:
+    """The RootedTree of the arena lists t; its childless type-I nodes are
+    the open ones (an expanded type-I node has a type-I child)."""
     tree = RootedTree(*t, np.zeros(len(t[0]), bool))
-    tree.open_[(tree.ntype == TYPE_I) & (tree.depth > depth)] = True
+    tree.open_[tree.ntype == TYPE_I] = True
+    tree.open_[tree.parent[1:]] = False
     return tree
+
+
+def _uniforms(rng: np.random.Generator):
+    """A draw() giving rng's uniforms in order, 256 at a time."""
+    return chain.from_iterable(
+        iter(lambda: rng.random(256).tolist(), None)).__next__
 
 
 class _CoupledSampler:
@@ -367,9 +403,7 @@ class _CoupledSampler:
         self.qstar_hi_cdf = positive_poisson_cdf(self.rate_i_hi)
 
     def sample(self, depth: int, seed: int) -> CoupledPair:
-        rng = substream(seed, "couple", self.lam, self.mu)
-        draw = chain.from_iterable(  # its uniforms in order, 256 at a time
-            iter(lambda: rng.random(256).tolist(), None)).__next__
+        draw = _uniforms(substream(seed, "couple", self.lam, self.mu))
         # arena lists (parent, depth, ntype), each from the root
         lo, hi = ([-1], [0], [TYPE_I]), ([-1], [0], [TYPE_I])
         node_map = {0: 0}
@@ -388,32 +422,30 @@ class _CoupledSampler:
                             for _ in range(z_shared)]
             extra_sizes = [quantile(self.extra_size_cdf, draw())
                            for _ in range(z_extra)]
-            cu, cv = _add(lo, u, a), _add(hi, v, h)  # a matched, h - a spare
+            # a matched children, then h - a spare ones left open
+            cu, cv = _add(lo, u, a), _add(hi, v, h)
             pairs = list(zip(range(cu, cu + a), range(cv, cv + a)))
             node_map.update(pairs)
-            spare = range(cv + a, cv + h)
             if lo[1][u] < depth:  # else the children stay open stubs
                 stack.extend(pairs)
-                for x in spare:
-                    self._expand_marginal_hi(hi, x, depth, draw)
             for size in shared_sizes:
                 shape = _bush_shape(size, draw)
                 bu, bv = _graft(lo, u, shape), _graft(hi, v, shape)
                 node_map.update(zip(range(bu, bu + size), range(bv, bv + size)))
             for j, size in enumerate(extra_sizes):
                 # z_extra <= s_plus - a <= h - a spare children
-                node_map[_graft(lo, u, _bush_shape(size, draw))] = spare[j]
+                node_map[_graft(lo, u, _bush_shape(size, draw))] = cv + a + j
             if u == 0:
                 root_couple = OffspringCouple(
                     n_fin_lo=dict(Counter(shared_sizes + extra_sizes)),
                     n_fin_hi=dict(Counter(shared_sizes)),
                     n_inf_lo=a, n_inf_hi=h)
-        return CoupledPair(_arena(lo, depth), _arena(hi, depth), node_map,
-                           root_couple, self.lam, self.mu, depth, seed)
+        return CoupledPair(_arena(lo), _arena(hi), node_map, root_couple,
+                           self.lam, self.mu, depth, seed)
 
     def _expand_marginal_hi(self, t: tuple, node: int, depth: int,
                             draw) -> None:
-        """Marginal two-type expansion of an unpaired hi subtree down to the
+        """Marginal two-type expansion of the open hi node down to the
         horizon (same law as sample_pgw_star restricted to a subtree)."""
         stack = [node]
         while stack:
@@ -438,7 +470,8 @@ def sample_coupled_trees(lam: float, mu: float, depth: int,
     """One coupled pair (T, T') of survival-conditioned trees, type-I
     skeletons truncated at the given depth, with T's marginal at parameter
     lam, T' at mu, and the embedding witnessing domination (see module
-    docstring)."""
+    docstring).  T' leaves its mu-only subtrees open; pair.complete() grows
+    them to the horizon."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     return _coupled_sampler(lam, mu).sample(depth, seed)

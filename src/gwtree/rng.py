@@ -30,7 +30,15 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 
 def derive_seed(seed: int, *labels) -> int:
-    """Collapse (seed, labels...) into a fresh 63-bit seed, stably across runs."""
+    """Collapse (seed, labels...) into a fresh 63-bit seed, stably across runs.
+
+    Labels are keyed by repr, a numpy scalar as the Python number it equals,
+    so np.float64(2.0) and 2.0 name the same substream."""
+    for x in labels:
+        if isinstance(x, np.generic):
+            labels = tuple([y.item() if isinstance(y, np.generic) else y
+                            for y in labels])
+            break
     h = hashlib.blake2b(repr((seed,) + labels).encode(), digest_size=16)
     return int.from_bytes(h.digest(), "little") & _MASK63
 

@@ -1,6 +1,8 @@
 """Scalar functions: fixed point, duality, domination constants, bounds."""
 
+import hashlib
 import math
+import struct
 
 import mpmath
 import pytest
@@ -64,6 +66,27 @@ class TestExtinctionProb:
             extinction_prob(2.0, tol=1e-3)
         with pytest.raises(ValueError):
             extinction_prob(2.0, tol=0.0)
+
+    @pytest.mark.parametrize("c", [360.0, 365.0, 371.0, 372.0, 372.5, 400.0,
+                                   700.0])
+    def test_large_c(self, c):
+        # past c of about 354.2 the first Aitken step squares q1 - q = e^{-c}
+        # below the least normal double; q must still be e^{-c}(1 + c e^{-c})
+        want = math.exp(-c) * (1.0 + c * math.exp(-c))
+        assert extinction_prob(c).q == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_positive_below_745(self):
+        # e^{-c} is a double (subnormal past about 708.4) up to c of 745
+        for c in [372.6, 372.7, 500.0, 708.0, 709.0, 744.0, 744.9]:
+            assert extinction_prob(c).q > 0.0, c
+
+    def test_unchanged_where_the_square_is_normal(self):
+        # q over c = 1.05, 1.06, ... 353.99, where no Aitken square
+        # underflows, pinned bit for bit from before the underflow guard
+        h = hashlib.sha256()
+        for i in range(35295):
+            h.update(struct.pack("<d", extinction_prob(1.05 + 0.01 * i).q))
+        assert h.hexdigest()[:16] == "b7ad91e108d4dbab"
 
 
 class TestAlpha:
@@ -152,7 +175,7 @@ class TestDegreeLaw:
         p = extinction_prob(2.0)
         assert degree_pmf(p, 1) == pytest.approx(2.0 * math.exp(-2.0), rel=1e-12)
 
-    # q underflows to 0.0 at c = 400
+    # q is about e^{-400} = 1.9e-174 at c = 400
     @pytest.mark.parametrize("c", [1.2, 2.0, 3.7, 6.0, 400.0])
     def test_normalization(self, c):
         p = extinction_prob(c)

@@ -103,14 +103,19 @@ def hand_built_trees(draw):
     return t
 
 
+def coupled_side(depth, seed, side, complete):
+    """One side of a coupled pair at (1.5, 2.0), as built or completed."""
+    pair = sample_coupled_trees(1.5, 2.0, depth, seed)
+    return getattr(pair.complete() if complete else pair, side)
+
+
 SEEDS = st.integers(0, (1 << 63) - 1)
 SAMPLED_TREES = st.one_of(
     st.builds(sample_pgw, st.floats(0.5, 3.0), st.integers(1, 300), SEEDS),
     st.builds(sample_pgw_star, st.floats(1.0, 3.0), st.integers(0, 3), SEEDS),
     st.builds(sample_uniform_rooted_tree, st.integers(1, 60), SEEDS),
-    st.builds(lambda depth, seed, side: getattr(
-        sample_coupled_trees(1.5, 2.0, depth, seed), side),
-        st.integers(1, 3), SEEDS, st.sampled_from(["lo", "hi"])))
+    st.builds(coupled_side, st.integers(1, 3), SEEDS,
+              st.sampled_from(["lo", "hi"]), st.booleans()))
 CORRUPTIONS = st.none() | st.tuples(st.integers(0, 1000),
                                     st.sampled_from([-1.0, 1.0]))
 
@@ -152,7 +157,9 @@ def tree_digest(t) -> str:
 class TestSamplersPinned:
     """Digests of parent, ntype, depth and open_ (and of the sorted node map)
     taken from the per-node list arena that the numpy arena replaced: the
-    arrays must hold exactly the trees the list builders made."""
+    arrays must hold exactly the trees the list builders made.  The coupled
+    pairs are pinned as built with their mu-only subtrees open, then with
+    hi completed."""
 
     @pytest.mark.parametrize("seed, capped, want", [
         (0, True, "1dd8a6d7c589acd4"), (1, True, "c095cebea481f3c1"),
@@ -174,12 +181,16 @@ class TestSamplersPinned:
         assert tree_digest(sample_uniform_rooted_tree(200, seed)) == want
 
     @pytest.mark.parametrize("seed, want", [
-        (0, ("3a6365c4a542f651", "9d3f345c62400e67", "409afcac98c09226")),
-        (1, ("2da0af86a52f8ab4", "5ac181fb5a51990f", "2528fcd4d87078a8")),
-        (2, ("8cb2a585e484e592", "d213ee3641508bc1", "e62584cc025d1177"))])
+        (0, ("7fd30099cc933e40", "1ee6cbab332458cc", "309404bc035d0228",
+             "fa3a32aa4c36b7e8")),
+        (1, ("b4dfc5c2b6849612", "9eea4f1482821182", "56afdc3fcac1efac",
+             "0356b7d779a59af6")),
+        (2, ("87bdd9d07572688d", "32555177bccee5c4", "d4f2ad270894964d",
+             "fb208dd60cd5d60f"))])
     def test_coupled(self, seed, want):
         pair = sample_coupled_trees(1.5, 2.0, 6, seed)
         assert all(type(x) is int for item in pair.node_map.items()
                    for x in item)
-        assert (tree_digest(pair.lo), tree_digest(pair.hi),
-                digest(sorted(pair.node_map.items()))) == want
+        lazy = (tree_digest(pair.lo), tree_digest(pair.hi),
+                digest(sorted(pair.node_map.items())))
+        assert lazy + (tree_digest(pair.complete().hi),) == want

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwtree import cli
+from gwtree import cli, trees
 from gwtree.cli import main
 
 
@@ -278,13 +278,15 @@ class TestCouple:
         assert err.startswith("gwtree: error: lam/mu:") and err.count("\n") == 1
 
     def test_extinction_underflow_at_mu(self, tmp_path):
-        # q(mu) is 0.0 here, so the hi side has no finite bushes
+        # q(mu) is about e^{-400} = 1.9e-174 here, so the hi side almost
+        # surely has no finite bushes
         rc, out = run(tmp_path, "cpl.json",
                       ["couple", "--lambda", "1.5", "--mu", "400",
                        "--depth", "1", "--samples", "1"])
         assert rc == 0
-        row = json.loads(out.read_text())["results"][0]
-        assert row["le1_ok"] and row["embedding_ok"]
+        doc = json.loads(out.read_text())
+        assert doc["results"][0]["le1_ok"] and doc["results"][0]["embedding_ok"]
+        assert_complete(doc, 1)
 
     def test_audit_passes(self, tmp_path):
         rc, out = run(tmp_path, "cpl.json",
@@ -296,6 +298,39 @@ class TestCouple:
         assert all(r["le1_ok"] and r["embedding_ok"] for r in doc["results"])
         assert len(doc["samples_detail"]) == 5
         assert "0 -1 I inf" in doc["samples_detail"][0]["lo"]
+        assert_complete(doc, 3)
+
+    def test_work_bound(self, tmp_path, capsys, monkeypatch):
+        # a complete pair at mu = 400, depth 2 holds about 6.4e7 nodes
+        def no_work(*args):
+            raise AssertionError("built a pair")
+        monkeypatch.setattr(cli.domination, "sample_coupled_trees", no_work)
+        rc, out = run(tmp_path, "cpl.json", ["couple", "--lambda", "1.5",
+                                             "--mu", "400", "--depth", "2"])
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("gwtree: error: mu/depth:") and err.count("\n") == 1
+
+    def test_large_pair_within_bound(self, tmp_path):
+        # about 1.5e5 hi nodes
+        rc, out = run(tmp_path, "cpl.json",
+                      ["couple", "--lambda", "1.5", "--mu", "380",
+                       "--depth", "1", "--samples", "1"])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["results"][0]["hi_nodes"] > 140_000
+        assert_complete(doc, 1)
+
+
+def assert_complete(doc, depth):
+    """Each printed hi tree has no open type-I node at depth <= depth, and its
+    node count is the row's hi_nodes."""
+    for row, detail in zip(doc["results"], doc["samples_detail"]):
+        hi = trees.tree_from_text(detail["hi"])
+        assert len(hi) == row["hi_nodes"]
+        assert not (hi.open_ & (hi.ntype == trees.TYPE_I)
+                    & (hi.depth <= depth)).any()
 
 
 class TestOtherCommands:
@@ -311,7 +346,8 @@ class TestOtherCommands:
         ["crosscheck", "--n", "1000", "--reps", "1", "--K", "20",
          "--samples", "10"]])
     def test_extinction_underflow(self, tmp_path, cmd):
-        # q is 0.0 in double precision at c = 400
+        # at c = 400 the first Aitken step of extinction_prob squares
+        # e^{-400} to below the least normal double; q is still e^{-400}
         rc, out = run(tmp_path, "big.json", cmd[:1] + ["--c", "400"] + cmd[1:])
         assert rc == 0
         row = json.loads(out.read_text())["results"][0]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 from gwtree import (TYPE_F, TYPE_I, alpha, check_le1, conv_pmf, degree_pmf,
-                    extinction_prob, positive_poisson_pmf,
+                    extinction_prob, killed_walk_visits, positive_poisson_pmf,
                     sample_coupled_trees, sample_dominated_offspring,
                     sample_dominated_offspring_many, sample_pgw_star,
                     subtree_stats, verify_tail_domination)
@@ -272,10 +272,11 @@ def two_sample_pvalue(x, y):
 
 class TestCoupledLaw:
     def test_marginals_match_sample_pgw_star(self):
-        # each side of a depth-2 pair has the law of sample_pgw_star at its
-        # own parameter: node counts and root degrees, two-sample chi-square
+        # each side of a completed depth-2 pair has the law of
+        # sample_pgw_star at its own parameter: node counts and root
+        # degrees, two-sample chi-square
         lam, mu, n = 1.5, 2.0, 4000
-        pairs = [sample_coupled_trees(lam, mu, 2, derive_seed(12, i))
+        pairs = [sample_coupled_trees(lam, mu, 2, derive_seed(12, i)).complete()
                  for i in range(n)]
         for side, c in (("lo", lam), ("hi", mu)):
             coupled = [getattr(p, side) for p in pairs]
@@ -285,6 +286,55 @@ class TestCoupledLaw:
                 pv = two_sample_pvalue(np.array([stat(t) for t in coupled]),
                                        np.array([stat(t) for t in marginal]))
                 assert pv >= 1e-4, (side, pv)
+
+
+class TestLazyPairs:
+    def test_open_nodes_and_complete(self):
+        # as built, hi is open exactly at its type-I nodes at depth <= the
+        # horizon that are unmapped or images of extra-bush roots, and at
+        # the frontier; complete() grows the former and nothing else
+        for depth, i in itertools.product((1, 3), range(100)):
+            pair = sample_coupled_trees(1.5, 2.0, depth, derive_seed(15, i))
+            lo, hi, m = pair.lo, pair.hi, pair.node_map
+            images = {v for u, v in m.items() if lo.ntype[u] == TYPE_I}
+            spare = {v for v in range(len(hi)) if hi.ntype[v] == TYPE_I
+                     and hi.depth[v] <= depth and v not in images}
+            frontier = set(np.flatnonzero((hi.ntype == TYPE_I)
+                                          & (hi.depth == depth + 1)).tolist())
+            assert set(np.flatnonzero(hi.open_).tolist()) == spare | frontier
+            before = [a.copy() for a in (lo.parent, lo.ntype, lo.open_,
+                                         hi.parent, hi.ntype)]
+            n_hi, node_map, rc = len(hi), dict(m), pair.root_couple
+            assert pair.complete() is pair
+            assert pair.lo is lo and pair.node_map == node_map
+            assert pair.root_couple is rc
+            for a, b in zip(before, (lo.parent, lo.ntype, lo.open_,
+                                     pair.hi.parent[:n_hi],
+                                     pair.hi.ntype[:n_hi])):
+                assert np.array_equal(a, b)
+            hi = pair.hi
+            assert not (hi.open_ & (hi.depth <= depth)).any()
+            assert (hi.depth[hi.open_] == depth + 1).all()
+            hi.validate()
+            pair.validate_embedding()
+            assert pair.audit_le1()
+            pair.complete()
+            assert pair.hi is hi  # a complete pair does not change
+
+    def test_walk_visits_match_completed_pairs(self):
+        # killed walks on lazy hi trees, grown at mu on first visit, count
+        # root visits with the law they have on completed hi trees
+        lam, mu, s, n = 1.5, 2.0, 0.7, 3000
+
+        def visits(tag, complete):
+            x = np.zeros(n, int)
+            for i in range(n):
+                pair = sample_coupled_trees(lam, mu, 2, derive_seed(tag, i))
+                hi = (pair.complete() if complete else pair).hi
+                x[i] = killed_walk_visits(hi, s, derive_seed(tag, "walk", i),
+                                          grow=mu)
+            return x
+        assert two_sample_pvalue(visits(16, False), visits(17, True)) >= 1e-4
 
 
 def shape_key(parent):
