@@ -238,13 +238,12 @@ def expected_log_degree(params: GWParams) -> float:
                               start=2)
 
 
-def f_bounds(params: GWParams, kmax: int = 64) -> BoundsRecord:
+def f_bounds(params: GWParams) -> BoundsRecord:
     """Sandwich bounds for the spanning-tree entropy plus the derivative bound.
 
-    kmax is only a hint; the series is auto-extended until terms fall
-    below 1e-12 (see _sum_until_settled).
+    The E[log deg] series is summed until its terms fall below 1e-12 (see
+    _sum_until_settled).
     """
-    del kmax  # retained for call-site symmetry; extension is automatic
     f_upper = expected_log_degree(params)
     f_lower = max(0.0, f_upper - pgw1_log_degree_constant())
     c, q = params.c, params.q

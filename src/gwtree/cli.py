@@ -146,14 +146,29 @@ def _resolve(args: argparse.Namespace) -> dict:
 _COUPLE_NODE_BUDGET = 2_000_000
 
 
+# Most bytes the arena of one run of walk chunks may hold.  It keeps 32 bytes
+# for each child of each node the walks expand, and each of a chunk's walks
+# expands at most one node a step: one 8192-walk chunk at c = 100, K = 60
+# peaked at 1,555 MB (1.57 GB so estimated), and returns --c 1e5 --K 20 at
+# 249 MB for 2 walks and 555 MB for 6.
+_WALK_ARENA_BUDGET = 1 << 30
+_WALK_COMMANDS = ("returns", "estimate-f", "decay", "crosscheck")
+
+
+def _mean_children(c: float) -> tuple[float, float]:
+    """E[Q*(c theta)] and cq: the mean type-I and type-F child counts of a
+    type-I node."""
+    p = analytic.extinction_prob(c)
+    return p.ctheta / -math.expm1(-p.ctheta), p.cq
+
+
 def _complete_hi_nodes(mu: float, depth: int) -> float:
     """Expected size of a complete hi tree: m^d type-I nodes at each depth
     d <= depth, each with bushes of mean total size mu q/(1 - mu q), and
     m^(depth+1) frontier stubs, where m = E[Q*(mu theta)]."""
-    p = analytic.extinction_prob(mu)
-    m = p.ctheta / -math.expm1(-p.ctheta)
+    m, cq = _mean_children(mu)
     try:
-        return (sum(m ** d for d in range(depth + 1)) * (1 + p.cq / (1 - p.cq))
+        return (sum(m ** d for d in range(depth + 1)) * (1 + cq / (1 - cq))
                 + m ** (depth + 1))
     except OverflowError:
         return math.inf
@@ -203,8 +218,16 @@ def _validated_inputs(cmd: str, cfg: dict) -> dict:
     cs = v["c"] if isinstance(v.get("c"), list) else [v.get("c")]
     for c in cs:
         try:
-            if cmd in ("returns", "estimate-f", "decay", "crosscheck"):
+            if cmd in _WALK_COMMANDS:
                 laws.positive_poisson_cdf(analytic.extinction_prob(c).ctheta)
+                # one run's arena: min(samples, 8192) walks of K steps
+                size = (32.0 * min(v["samples"], walk._WALK_CHUNK) * v["K"]
+                        * sum(_mean_children(c)))
+                if size > _WALK_ARENA_BUDGET:
+                    raise ConfigError(
+                        f"c: walks at c = {c}, K = {v['K']} hold about "
+                        f"{size / 2**20:,.0f} MB of nodes a run, over the "
+                        f"budget of {_WALK_ARENA_BUDGET >> 20:,} MB")
             if cmd in ("bounds", "estimate-f", "crosscheck"):
                 analytic.expected_log_degree(analytic.extinction_prob(c))
         except ArithmeticError as exc:

@@ -40,8 +40,9 @@ frontier stubs past the horizon: their subtrees do not depend on the
 coupling, nothing in the node map lies below them, and both audits read
 only their roots (type I, so N = inf).  A killed walk with grow=mu draws
 them on first visit with the same marginal law; CoupledPair.complete()
-grows them to the horizon instead, from its own substream
-(seed, "couple-hi", lam, mu).
+grows them to the horizon instead with trees._grow_star, the step of
+sample_pgw_star, each stub x keyed by child_key(derive_seed(seed,
+"couple-hi", lam, mu), x).  Both trees are built with trees' list builders.
 
 A pair takes its draws in traversal order from one buffer of uniforms
 refilled from substream (seed, "couple", lam, mu): counts and sizes invert
@@ -63,8 +64,9 @@ from mpmath import mp, mpf
 from .analytic import alpha, extinction_prob
 from .laws import (cdf_table, log_borel, log_bush_excess, log_conv,
                    log_split, poisson_cdf, positive_poisson_cdf, quantile)
-from .rng import substream
-from .trees import TYPE_F, TYPE_I, RootedTree, _rooted_shape, _sizes
+from .rng import child_key, derive_seed, substream
+from .trees import (TYPE_I, RootedTree, _add, _arena, _graft, _grow_star,
+                    _rooted_shape, _sizes)
 
 __all__ = [
     "TailReport",
@@ -249,19 +251,18 @@ class CoupledPair:
 
     def complete(self) -> CoupledPair:
         """Grow every open type-I node of hi at depth <= self.depth to the
-        horizon with the marginal two-type law at mu, drawing from substream
-        (seed, "couple-hi", lam, mu); lo, node_map and root_couple do not
-        change, nor does a complete pair.  Returns the pair."""
+        horizon with the marginal two-type law at mu, path-keyed (see the
+        module docstring); lo, node_map and root_couple do not change, nor
+        does a complete pair.  Returns the pair, whose hi.bush_resamples
+        counts the bushes resampled at trees.BUSH_NODE_CAP."""
         hi = self.hi
         stubs = np.flatnonzero(hi.open_ & (hi.depth <= self.depth)).tolist()
         if stubs:
             t = (hi.parent.tolist(), hi.depth.tolist(), hi.ntype.tolist())
-            draw = _uniforms(substream(self.seed, "couple-hi", self.lam,
-                                       self.mu))
-            grow = _coupled_sampler(self.lam, self.mu)._expand_marginal_hi
-            for x in stubs:
-                grow(t, x, self.depth, draw)
-            self.hi = _arena(t)
+            key = derive_seed(self.seed, "couple-hi", self.lam, self.mu)
+            resamples = sum(_grow_star(t, x, self.depth, child_key(key, x),
+                                       self.mu) for x in stubs)
+            self.hi = _arena(t, resamples)
         return self
 
     def validate_embedding(self) -> None:
@@ -339,45 +340,6 @@ def _bush_shape(k: int, draw) -> tuple[list, ...]:
     return _cached_shape(seq, k, int(draw() * k))
 
 
-def _add(t: tuple, p: int, n: int) -> int:
-    """Give node p of the arena lists t = (parent, depth, ntype) n new type-I
-    children; returns the id of the first."""
-    parent, depth, ntype = t
-    w = len(parent)
-    parent.extend([p] * n)
-    depth.extend([depth[p] + 1] * n)
-    ntype.extend([TYPE_I] * n)
-    return w
-
-
-def _graft(t: tuple, p: int, shape) -> int:
-    """Give node p of the arena lists t a type-F bush of the given shape,
-    its root first and its interior right after; returns the root's id."""
-    parent, depth, ntype = t
-    bush_parent, bush_depth = shape
-    w, d = len(parent), depth[p] + 1
-    parent.extend(map(w.__add__, bush_parent))
-    parent[w] = p
-    depth.extend(map(d.__add__, bush_depth))
-    ntype.extend([TYPE_F] * len(bush_depth))
-    return w
-
-
-def _arena(t: tuple) -> RootedTree:
-    """The RootedTree of the arena lists t; its childless type-I nodes are
-    the open ones (an expanded type-I node has a type-I child)."""
-    tree = RootedTree(*t, np.zeros(len(t[0]), bool))
-    tree.open_[tree.ntype == TYPE_I] = True
-    tree.open_[tree.parent[1:]] = False
-    return tree
-
-
-def _uniforms(rng: np.random.Generator):
-    """A draw() giving rng's uniforms in order, 256 at a time."""
-    return chain.from_iterable(
-        iter(lambda: rng.random(256).tolist(), None)).__next__
-
-
 class _CoupledSampler:
     """Precomputed tables for one (lam, mu) pair; see the module docstring
     for the per-vertex coupling step."""
@@ -400,10 +362,12 @@ class _CoupledSampler:
                                 if self.rate_f_hi > 0.0 else (1.0,))
         # sizes of lam-only bushes: pmf_k = (m_k(lam) - m_k(mu)) / g
         self.extra_size_cdf = cdf_table(log_bush_excess, lam, mu)
-        self.qstar_hi_cdf = positive_poisson_cdf(self.rate_i_hi)
 
     def sample(self, depth: int, seed: int) -> CoupledPair:
-        draw = _uniforms(substream(seed, "couple", self.lam, self.mu))
+        rng = substream(seed, "couple", self.lam, self.mu)
+        # the stream's uniforms in order, 256 at a time
+        draw = chain.from_iterable(
+            iter(lambda: rng.random(256).tolist(), None)).__next__
         # arena lists (parent, depth, ntype), each from the root
         lo, hi = ([-1], [0], [TYPE_I]), ([-1], [0], [TYPE_I])
         node_map = {0: 0}
@@ -442,22 +406,6 @@ class _CoupledSampler:
                     n_inf_lo=a, n_inf_hi=h)
         return CoupledPair(_arena(lo), _arena(hi), node_map, root_couple,
                            self.lam, self.mu, depth, seed)
-
-    def _expand_marginal_hi(self, t: tuple, node: int, depth: int,
-                            draw) -> None:
-        """Marginal two-type expansion of the open hi node down to the
-        horizon (same law as sample_pgw_star restricted to a subtree)."""
-        stack = [node]
-        while stack:
-            x = stack.pop()
-            n_i = quantile(self.qstar_hi_cdf, draw())
-            n_f = quantile(self.shared_count_cdf, draw()) - 1
-            w = _add(t, x, n_i)
-            if t[1][x] < depth:
-                stack.extend(range(w, w + n_i))
-            for _ in range(n_f):
-                _graft(t, x, _bush_shape(
-                    quantile(self.shared_size_cdf, draw()), draw))
 
 
 @lru_cache(maxsize=16)

@@ -184,12 +184,11 @@ def log_spanning_trees(g: SparseGraph, ground: int = 0) -> ComplexityResult:
     return ComplexityResult(float(np.sum(np.log(piv))), n)
 
 
-def empirical_f(n: int, c: float, reps: int, seed: int,
-                dense_cap: int = FACTORIZATION_CAP) -> EstimateReport:
+def empirical_f(n: int, c: float, reps: int, seed: int) -> EstimateReport:
     """Mean per-vertex log spanning-tree count of the giant of G(n, c/n)
     over independent repetitions."""
-    if not (1 <= n <= dense_cap):
-        raise ValueError(f"n must lie in [1, {dense_cap}], got {n}")
+    if not (1 <= n <= FACTORIZATION_CAP):
+        raise ValueError(f"n must lie in [1, {FACTORIZATION_CAP}], got {n}")
     if not (c > 1.0) or not math.isfinite(c):
         raise ValueError(f"empirical_f requires finite c > 1, got {c}")
     if reps < 1:

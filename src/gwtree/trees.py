@@ -21,15 +21,18 @@ sampled in full (they are a.s. finite), subject to a large per-bush node
 cap with resample-and-count-rejections accounting.  Walk computations on
 such a tree are exact for return times k <= 2*depth (see walk module).
 
-sample_pgw_star keys each node's draws by its path from the root (the
-counter-based rng.child_key and rng.node_uniform, no Generator per node),
-so deepening a tree (same seed, larger depth) reproduces the shallow tree
+sample_pgw_star is _grow_star on a one-node root.  _grow_star expands one
+open type-I node to the horizon and keys each node's draws by its path (the
+counter-based rng.child_key and rng.node_uniform, no Generator per node), so
+deepening a tree (same seed, larger depth) reproduces the shallow tree
 exactly.  Type-I counts invert the laws module's positive-Poisson table at
-any c, type-F counts its Poisson table.  sample_pgw draws one Poisson vector
-per level from its substream.
+any c, type-F counts its Poisson table.  CoupledPair.complete() grows the
+mu-side stubs of a coupled pair with the same step.  sample_pgw draws one
+Poisson vector per level from its substream.
 
-Every tree is one RootedTree arena of per-node numpy arrays, built in one
-piece; children are derived from parent once per tree.
+Every tree is one RootedTree arena of per-node numpy arrays; children are
+derived from parent once per tree.  Node-by-node samplers build the lists
+(parent, depth, ntype) with _add and _graft only, and _arena converts them.
 """
 
 from __future__ import annotations
@@ -231,6 +234,86 @@ def _star_tables(c: float) -> tuple:
     return positive_poisson_cdf(rate_i), poisson_cdf(rate_f), rate_f
 
 
+def _add(t: tuple, p: int, n: int, ntype: int = TYPE_I) -> int:
+    """Give node p of the arena lists t = (parent, depth, ntype) n new
+    children of the given type; returns the id of the first."""
+    parent, depth, types = t
+    w = len(parent)
+    parent.extend([p] * n)
+    depth.extend([depth[p] + 1] * n)
+    types.extend([ntype] * n)
+    return w
+
+
+def _graft(t: tuple, p: int, shape) -> int:
+    """Give node p of the arena lists t a type-F bush of the given
+    _rooted_shape, its root first and its interior right after; returns the
+    root's id."""
+    parent, depth, ntype = t
+    bush_parent, bush_depth = shape
+    w, d = len(parent), depth[p] + 1
+    parent.extend(map(w.__add__, bush_parent))
+    parent[w] = p
+    depth.extend(map(d.__add__, bush_depth))
+    ntype.extend([TYPE_F] * len(bush_depth))
+    return w
+
+
+def _arena(t: tuple, bush_resamples: int = 0) -> RootedTree:
+    """The RootedTree of the arena lists t; its childless type-I nodes are
+    the open ones (an expanded type-I node has a type-I child)."""
+    tree = RootedTree(*t, np.zeros(len(t[0]), bool))
+    tree.open_[tree.ntype == TYPE_I] = True
+    tree.open_[tree.parent[1:]] = False
+    tree.bush_resamples = bush_resamples
+    return tree
+
+
+def _grow_star(t: tuple, v: int, depth: int, key: int, c: float) -> int:
+    """Expand the open type-I node v of the arena lists t with the two-type
+    law at c, and its type-I descendants down to depth; the type-I children
+    made below depth stay open.  Node x draws from its path key (key at v,
+    child_key(key_x, i) at its i-th child).  Returns the number of bushes
+    resampled for passing BUSH_NODE_CAP."""
+    qcdf, fcdf, _ = _star_tables(c)
+    resamples = 0
+
+    def bush(b: int, key: int) -> None:
+        """Sample the type-F subtree below b in full (a.s. finite: cq <= 1);
+        attempt a draws from child_key(key, a), and an attempt that passes
+        BUSH_NODE_CAP nodes is discarded and counted."""
+        nonlocal resamples
+        keep = len(t[0])
+        for attempt in range(64):
+            stack = [(b, child_key(key, attempt))]
+            while stack and len(t[0]) - keep <= BUSH_NODE_CAP:
+                x, k = stack.pop()
+                n = quantile(fcdf, node_uniform(k, 0)) - 1
+                if n:
+                    w = _add(t, x, n, TYPE_F)
+                    stack.extend((w + i, child_key(k, i)) for i in range(n))
+            if len(t[0]) - keep <= BUSH_NODE_CAP:
+                return
+            resamples += 1
+            for arr in t:
+                del arr[keep:]
+        raise ArithmeticError("bush sampling exceeded the node cap 64 times "
+                              f"at c = {c}")
+
+    stack = [(v, key)]  # (type-I node, key)
+    while stack:
+        x, key = stack.pop()
+        n_i = quantile(qcdf, node_uniform(key, 0))
+        n_f = quantile(fcdf, node_uniform(key, 1)) - 1
+        w = _add(t, x, n_i)
+        _add(t, x, n_f, TYPE_F)
+        for j in range(n_i, n_i + n_f):
+            bush(w + j, child_key(key, j))
+        if t[1][x] < depth:
+            stack.extend((w + i, child_key(key, i)) for i in range(n_i))
+    return resamples
+
+
 def sample_pgw_star(c: float, depth: int, seed: int) -> RootedTree:
     """Two-type survival-conditioned tree, type-I skeleton truncated at depth.
 
@@ -241,57 +324,9 @@ def sample_pgw_star(c: float, depth: int, seed: int) -> RootedTree:
         raise ValueError(f"sample_pgw_star requires finite c >= 1, got {c}")
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    qcdf, fcdf, _ = _star_tables(c)
-
-    parent, ntype, dep = [-1], [TYPE_I], [0]
-    resamples = 0
-
-    def grow(v: int, n_i: int, n_f: int) -> int:
-        """Give v n_i type-I, then n_f type-F children; returns the first."""
-        w, n = len(parent), n_i + n_f
-        parent.extend([v] * n)
-        ntype.extend([TYPE_I] * n_i + [TYPE_F] * n_f)
-        dep.extend([dep[v] + 1] * n)
-        return w
-
-    def bush(b: int, key: int) -> None:
-        """Sample the type-F subtree below b in full (a.s. finite: the bush
-        rate cq is at most 1); attempt a draws from key child_key(key, a),
-        and an attempt that passes BUSH_NODE_CAP nodes is discarded and
-        counted."""
-        nonlocal resamples
-        keep = len(parent)
-        for attempt in range(64):
-            stack = [(b, child_key(key, attempt))]
-            while stack and len(parent) - keep <= BUSH_NODE_CAP:
-                v, k = stack.pop()
-                n = quantile(fcdf, node_uniform(k, 0)) - 1
-                if n:
-                    w = grow(v, 0, n)
-                    stack.extend((w + i, child_key(k, i)) for i in range(n))
-            if len(parent) - keep <= BUSH_NODE_CAP:
-                return
-            resamples += 1
-            for arr in (parent, ntype, dep):
-                del arr[keep:]
-        raise ArithmeticError("bush sampling exceeded the node cap 64 times "
-                              f"at c = {c}")
-
-    stack = [(0, derive_seed(seed, "pgwstar"))]  # (type-I node, key)
-    while stack:
-        v, key = stack.pop()
-        n_i = quantile(qcdf, node_uniform(key, 0))
-        n_f = quantile(fcdf, node_uniform(key, 1)) - 1
-        w = grow(v, n_i, n_f)
-        for j in range(n_i, n_i + n_f):
-            bush(w + j, child_key(key, j))
-        if dep[v] < depth:
-            stack.extend((w + i, child_key(key, i)) for i in range(n_i))
-    t = RootedTree(parent, dep, ntype, np.zeros(len(parent), bool))
-    # the type-I children made at depth + 1 are the open frontier
-    t.open_[(t.ntype == TYPE_I) & (t.depth > depth)] = True
-    t.bush_resamples = resamples
-    return t
+    t = ([-1], [0], [TYPE_I])
+    resamples = _grow_star(t, 0, depth, derive_seed(seed, "pgwstar"), c)
+    return _arena(t, resamples)
 
 
 def _decode_tree_sequence(seq, n: int) -> list[int]:

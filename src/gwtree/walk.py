@@ -36,10 +36,10 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .analytic import expected_log_degree, extinction_prob
-from .laws import positive_poisson_cdf, quantile
+from .laws import quantile
 from .reports import EstimateReport
 from .rng import substream
-from .trees import TYPE_I, RootedTree, _star_tables
+from .trees import TYPE_F, TYPE_I, RootedTree, _add, _star_tables
 
 __all__ = [
     "ReturnProfile",
@@ -151,9 +151,9 @@ def killed_walk_visits(t: RootedTree, s: float, seed: int,
     1-s per step.
 
     On a truncated tree the caller either supplies grow=c, in which case
-    the tree is extended lazily past its frontier with the two-type law at
-    parameter c (one extension per walk, i.e. annealed semantics), or the
-    tree must be deep enough that the walk dies first with probability
+    a copy of the tree's lists is extended past its frontier with the
+    two-type law at c (one extension per walk, i.e. annealed semantics), or
+    the tree must be deep enough that the walk dies first with probability
     >= 1 - 1e-6 (depth >= required_depth_for_killed_walk(s)).
     """
     if not (0.0 < s < 1.0):
@@ -169,38 +169,33 @@ def killed_walk_visits(t: RootedTree, s: float, seed: int,
         qcdf, _, rate_f = _star_tables(grow)
 
     rng = substream(seed, "killedwalk")
-    # arena nodes are int keys, lazily grown nodes are tuples (base, i, j, ...);
-    # grown[key] = (children keys, number of type-I children)
-    grown: dict = {}
+    parent, n = t.parent, len(t)  # t's column, then lists[0]
+    lists = None  # a copy of t's lists, made when the walk first grows
+    kids: dict = {}  # the children of each node the walk has met
 
-    def neighbors(key):
-        if isinstance(key, int):
-            par = int(t.parent[key]) if key != t.root else None
-        else:
-            par = key[:-1] if len(key) > 2 else key[0]
-        if key not in grown:
-            if isinstance(key, int) and not t.open_[key]:
-                # a walk meets few arena nodes: scanning parent beats a CSR
-                grown[key] = (np.flatnonzero(t.parent == key).tolist(), 0)
-            elif grow is None:
-                raise RuntimeError("walk reached the frontier of a tree "
-                                   "sampled without lazy growth")
-            else:
-                is_i = (t.ntype[key] == TYPE_I if isinstance(key, int)
-                        else key[-1] < grown[par][1])
-                n_i = quantile(qcdf, rng.random()) if is_i else 0
-                n_f = int(rng.poisson(rate_f))
-                base = key if isinstance(key, tuple) else (key,)
-                grown[key] = ([base + (i,) for i in range(n_i + n_f)], n_i)
-        return grown[key][0], par
+    def children(v: int):
+        nonlocal parent, lists
+        if v < n and not t.open_[v]:
+            # a walk meets few arena nodes: scanning parent beats a CSR
+            return np.flatnonzero(t.parent == v).tolist()
+        if grow is None:
+            raise RuntimeError("walk reached the frontier of a tree "
+                               "sampled without lazy growth")
+        if lists is None:
+            lists = tuple(a.tolist() for a in (t.parent, t.depth, t.ntype))
+            parent = lists[0]
+        n_i = quantile(qcdf, rng.random()) if lists[2][v] == TYPE_I else 0
+        w = _add(lists, v, n_i)
+        _add(lists, v, int(rng.poisson(rate_f)), TYPE_F)
+        return range(w, len(parent))
 
-    cur = t.root
-    visits = 1
+    cur, visits = t.root, 1
     while rng.random() < s:
-        kids, par = neighbors(cur)
-        deg = len(kids) + (par is not None)
-        step = int(rng.integers(deg))
-        cur = kids[step] if step < len(kids) else par
+        if cur not in kids:
+            kids[cur] = children(cur)
+        ch = kids[cur]
+        step = int(rng.integers(len(ch) + (cur != t.root)))
+        cur = ch[step] if step < len(ch) else parent[cur]
         if cur == t.root:
             visits += 1
     return visits
@@ -214,8 +209,8 @@ def _walk_chunks(c: float, K: int, seed: int, starts, n_samples: int):
     """Walk the run of consecutive chunks that begin at `starts` on one arena,
     reused from chunk to chunk; returns the run's (per_sample, hits) as
     _annealed_return_walks does."""
-    params = extinction_prob(c)
-    qcdf = np.asarray(positive_poisson_cdf(params.ctheta))
+    qcdf, _, cq = _star_tables(c)
+    qcdf = np.asarray(qcdf)
     sizes = [min(_WALK_CHUNK, n_samples - s) for s in starts]
     per_sample = np.zeros(sum(sizes))
     hits = np.zeros(K + 1, dtype=np.int64)
@@ -245,7 +240,7 @@ def _walk_chunks(c: float, K: int, seed: int, starts, n_samples: int):
                 is_i = nodes < f_start[parent[nodes]]
                 n_i = np.zeros(len(nodes), np.int64)
                 n_i[is_i] = quantile(qcdf, rng.random(np.count_nonzero(is_i)))
-                tot = n_i + rng.poisson(params.cq, len(nodes))
+                tot = n_i + rng.poisson(cq, len(nodes))
                 offs = np.cumsum(tot)
                 new_total = int(offs[-1])
                 offs += size - tot

@@ -159,7 +159,7 @@ class TestSamplersPinned:
     taken from the per-node list arena that the numpy arena replaced: the
     arrays must hold exactly the trees the list builders made.  The coupled
     pairs are pinned as built with their mu-only subtrees open, then with
-    hi completed."""
+    hi completed by path-keyed draws."""
 
     @pytest.mark.parametrize("seed, capped, want", [
         (0, True, "1dd8a6d7c589acd4"), (1, True, "c095cebea481f3c1"),
@@ -182,11 +182,11 @@ class TestSamplersPinned:
 
     @pytest.mark.parametrize("seed, want", [
         (0, ("7fd30099cc933e40", "1ee6cbab332458cc", "309404bc035d0228",
-             "fa3a32aa4c36b7e8")),
+             "cf5007108d2bb3ec")),
         (1, ("b4dfc5c2b6849612", "9eea4f1482821182", "56afdc3fcac1efac",
-             "0356b7d779a59af6")),
+             "7fddd47c7d142133")),
         (2, ("87bdd9d07572688d", "32555177bccee5c4", "d4f2ad270894964d",
-             "fb208dd60cd5d60f"))])
+             "77340f38f1196054"))])
     def test_coupled(self, seed, want):
         pair = sample_coupled_trees(1.5, 2.0, 6, seed)
         assert all(type(x) is int for item in pair.node_map.items()

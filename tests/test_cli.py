@@ -75,6 +75,20 @@ class TestValidation:
         assert err.startswith("gwtree: error: c:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("cmd", [
+        ["returns", "--c", "1e5", "--K", "20"],
+        ["estimate-f", "--c", "2,1000"],
+        ["decay", "--c", "1000"],
+        ["crosscheck", "--c", "1000", "--n", "1000"]])
+    def test_walk_arena_over_budget(self, tmp_path, capsys, cmd):
+        # one run of 8192 walks would hold far more than a gigabyte of nodes
+        rc, out = run(tmp_path, "x.json", cmd + ["--workers", "1"])
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("gwtree: error: c:") and "budget" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("cmd", [
         ["bounds", "--c", "1e5"],
         ["estimate-f", "--c", "150000", "--K", "20", "--samples", "2"]])
     def test_unsettled_log_degree_series(self, tmp_path, capsys, cmd):

@@ -12,6 +12,7 @@ from gwtree import (EstimateReport, estimate_f, estimate_return_integral,
                     green_value, killed_walk_visits, pbar_decay_diagnostic,
                     required_depth_for_killed_walk, return_probs, return_sum,
                     sample_coupled_trees, sample_pgw_star)
+from gwtree import trees, walk
 from gwtree.rng import derive_seed
 from gwtree.trees import RootedTree
 from gwtree.walk import _annealed_return_walks
@@ -209,6 +210,25 @@ class TestKilledWalk:
                       2, 2]
         assert sum(killed_walk_visits(t, 0.9, derive_seed(5, i), grow=2.0)
                    for i in range(2000)) == 4376
+
+    def test_grown_walk_leaves_tree_unchanged(self, monkeypatch):
+        # a walk grows its own copy of the tree's lists, never the tree
+        grown = []
+
+        def counting_add(t, p, n, *args):
+            grown.append(n)
+            return trees._add(t, p, n, *args)
+        monkeypatch.setattr(walk, "_add", counting_add)
+        def state(t):
+            return len(t), [hashlib.sha256(a.tobytes()).hexdigest() for a in
+                            (t.parent, t.depth, t.ntype, t.open_)]
+        pair = sample_coupled_trees(1.5, 2.0, 2, seed=7)
+        for t, c in ((pair.lo, 1.5), (pair.hi, 2.0)):
+            before = state(t)
+            for i in range(50):
+                killed_walk_visits(t, 0.9, derive_seed(18, i), grow=c)
+            assert state(t) == before
+        assert sum(grown) > 0
 
 
 class TestTwoStepCrossCheck:
