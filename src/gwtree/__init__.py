@@ -3,6 +3,11 @@ domination couplings, random-walk return probabilities, and two independent
 estimators of the spanning-tree entropy of the random-graph giant component.
 """
 
+import os
+
+# one BLAS thread, set before numpy loads: the process pool is the parallelism
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .analytic import (BoundsRecord, GWParams, alpha, beta_slope, borel_pmf,

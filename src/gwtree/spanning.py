@@ -3,12 +3,12 @@
 The empirical route to the entropy: sample G(n, c/n), extract the giant
 component, and compute log tau(G) as the log-determinant of the Laplacian
 with one row/column deleted (any cofactor of the Laplacian counts spanning
-trees).  The reduced Laplacian has about c n nonzeros, so it is factored as
-a sparse matrix: SuperLU under a minimum-degree ordering of A^T + A with
-diagonal pivots, which eliminates pendant trees and degree-2 paths without
-fill.  The logs of the U pivots are summed, so tau itself (exp of order n)
-never materializes.  Connectivity is checked first, because roundoff can
-leave a tiny nonzero pivot where a singular matrix has an exact zero.
+trees).  It has about c n nonzeros: rounds of multiple-elimination minimum
+degree take pendant trees and degree-2 paths without fill, and the filled-in
+rest (random graphs have no small separators) goes to a dense Cholesky.
+The logs of the pivots are summed, so tau itself (exp of order n) never
+materializes.  Connectivity is checked first, because roundoff can leave a
+tiny nonzero pivot where a singular matrix has an exact zero.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import math
 import time
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 from scipy.sparse import csr_matrix, diags
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
 
 from .reports import EstimateReport
 from .rng import derive_seed, substream
@@ -36,10 +36,12 @@ __all__ = [
     "FACTORIZATION_CAP",
 ]
 
-# Random graphs have no small separators, so the LU fill grows toward n^2
-# at larger n or c; the cap bounds the factor's memory.  Raising it needs a
-# guard on the fill itself.
+# The cap bounds the dense Cholesky tail, at most 8 n^2 bytes (128 MB at
+# n = 4000).  Raising it needs a guard on the fill of the sparse rounds too.
 FACTORIZATION_CAP = 4000
+# the sparse rounds end at > _DENSE_FILL n^2 nonzeros or <= _DENSE_N rows
+_DENSE_FILL, _DENSE_N, _NO_KEY = 0.02, 64, np.iinfo(np.int64).max
+_BREAKDOWN = "nonpositive pivot at vertex {}: numerical breakdown"
 
 
 class SparseGraph:
@@ -68,7 +70,8 @@ class SparseGraph:
                 raise ValueError("edge endpoint out of range")
             if (e[:, 0] >= e[:, 1]).any():
                 raise ValueError("edges must be canonical u < v (no self-loops)")
-            if len(np.unique(e, axis=0)) != len(e):
+            key = e[:, 0] * self.n + e[:, 1]  # sorted edges: increasing
+            if not (np.diff(key) > 0).all() and len(np.unique(key)) != len(e):
                 raise ValueError("duplicate edges")
 
     @property
@@ -155,13 +158,62 @@ def giant_component(g: SparseGraph) -> tuple[SparseGraph, np.ndarray]:
     return SparseGraph(len(old_ids), new_edges), old_ids
 
 
+def _log_det(a, labels: np.ndarray) -> float:
+    """log det of a sparse symmetric positive definite matrix.  Each round
+    eliminates the rows whose (degree, hashed label) key is below their
+    neighbours', if their degree is at most twice the minimum plus two, by one
+    Schur complement A_RR - A_RI diag(1/d) A_IR; the diagonal is kept as row
+    sums minus off-diagonals, so no term of a Laplacian cancels (GTH).  A
+    dense rest goes to LAPACK.  Raises ValueError naming labels[k] of the
+    first nonpositive pivot k."""
+    a = csr_matrix(a)
+    n = a.shape[0]
+    labels = np.asarray(labels)
+    tie = labels.astype(np.uint64) & 0xFFFFFFFF  # lowbias32: a bijection
+    for shift, mult in ((16, 0x7FEB352D), (15, 0x846CA68B), (16, 1)):
+        tie = ((tie ^ (tie >> shift)) * mult) & 0xFFFFFFFF
+    tie = tie.astype(np.int64)
+    excess = a @ np.ones(n)
+    off = a - diags(a.diagonal())
+    total = 0.0
+    while n > _DENSE_N and off.nnz + n <= _DENSE_FILL * n * n:
+        deg = np.diff(off.indptr).astype(np.int64)
+        key = deg << 32 | tie
+        # least neighbour key; meaningless in a row with no neighbours
+        nbr = np.minimum.reduceat(np.append(key[off.indices], _NO_KEY),
+                                  off.indptr[:-1])
+        go = ((key < nbr) | (deg == 0)) & (deg <= 2 * deg.min() + 2)
+        elim, rest = np.flatnonzero(go), np.flatnonzero(~go)
+        d = (excess - off @ np.ones(n))[elim]
+        bad = np.flatnonzero(~(d > 0.0))
+        if len(bad):
+            raise ValueError(_BREAKDOWN.format(labels[elim[bad[0]]]))
+        total += float(np.sum(np.log(d)))
+        rows = off[rest]
+        b = rows[:, elim] @ diags(1.0 / np.sqrt(d))  # b b^T: exactly symmetric
+        excess = excess[rest] - b @ (excess[elim] / np.sqrt(d))
+        fill = b @ b.T
+        off = rows[:, rest] - (fill - diags(fill.diagonal()))
+        labels, tie, n = labels[rest], tie[rest], len(rest)
+    # in tie order, a thin tail (a long path) is eliminated in few levels
+    order = np.argsort(tie)
+    labels, off = labels[order], off[order][:, order]
+    dense = off.toarray()
+    np.fill_diagonal(dense, excess[order] - dense.sum(axis=1))
+    # symmetric: the transpose is the same matrix, in LAPACK's Fortran order
+    chol, info = dpotrf(dense.T, overwrite_a=1)
+    if info:
+        raise ValueError(_BREAKDOWN.format(labels[info - 1]))
+    return total + 2.0 * float(np.sum(np.log(chol.diagonal())))
+
+
 def log_spanning_trees(g: SparseGraph, ground: int = 0) -> ComplexityResult:
-    """log tau(G) via the Matrix-Tree theorem: sparse LU of the Laplacian
-    with the ground row/column deleted, ordered by minimum degree on
-    A^T + A with diagonal pivots, pivots accumulated in the log domain.
+    """log tau(G) via the Matrix-Tree theorem: the log-determinant of the
+    Laplacian with the ground row/column deleted, by rounds of sparse
+    minimum-degree elimination and a dense Cholesky tail (see _log_det).
 
     Raises ValueError on disconnected input, and on a nonpositive pivot
-    (numerical breakdown), naming the pivot index.
+    (numerical breakdown), naming its vertex of g.
     """
     n = g.n
     if not (0 <= ground < n):
@@ -174,14 +226,8 @@ def log_spanning_trees(g: SparseGraph, ground: int = 0) -> ComplexityResult:
     if n == 1:
         return ComplexityResult(0.0, 1)
     keep = np.arange(n) != ground
-    lap = (diags(g.degrees().astype(float)) - adj).tocsc()[keep][:, keep]
-    piv = splu(lap, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-               options={"SymmetricMode": True}).U.diagonal()
-    bad = np.flatnonzero(piv <= 0.0)
-    if len(bad):
-        raise ValueError(f"nonpositive pivot at index {bad[0]} while "
-                         "factorizing the reduced Laplacian: numerical breakdown")
-    return ComplexityResult(float(np.sum(np.log(piv))), n)
+    lap = (diags(g.degrees().astype(float)) - adj).tocsr()[keep][:, keep]
+    return ComplexityResult(_log_det(lap, np.flatnonzero(keep)), n)
 
 
 def empirical_f(n: int, c: float, reps: int, seed: int) -> EstimateReport:

@@ -154,6 +154,12 @@ class TestReproducibility:
         _, out2 = run(tmp_path, "w2.json", base + ["--workers", "2"])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_worker_count_does_not_change_empirical_f(self, tmp_path):
+        base = ["empirical-f", "--c", "2,4", "--n", "1500", "--reps", "2"]
+        _, out1 = run(tmp_path, "w1.json", base + ["--workers", "1"])
+        _, out2 = run(tmp_path, "w2.json", base + ["--workers", "2"])
+        assert out1.read_bytes() == out2.read_bytes()
+
     @pytest.mark.parametrize("cmd", [
         ["returns", "--c", "2,3"], ["estimate-f", "--c", "2"],
         ["decay", "--c", "2"]])

@@ -12,6 +12,7 @@ from gwtree import (SparseGraph, empirical_f, extinction_prob, giant_component,
                     log_spanning_trees, read_edgelist, sample_gnp,
                     write_edgelist)
 from gwtree.rng import derive_seed
+from gwtree.spanning import _log_det
 
 
 def complete_graph(n):
@@ -83,6 +84,8 @@ class TestSparseGraph:
             SparseGraph(3, [[1, 1]])
         with pytest.raises(ValueError):
             SparseGraph(3, [[0, 1], [0, 1]])
+        with pytest.raises(ValueError, match="duplicate"):
+            SparseGraph(3, [[0, 2], [0, 1], [0, 2]])  # unsorted duplicates
         with pytest.raises(ValueError):
             SparseGraph(0, [])
 
@@ -176,6 +179,34 @@ class TestLogSpanningTrees:
     def test_single_vertex(self):
         res = log_spanning_trees(SparseGraph(1, []))
         assert res.log_tau == 0.0 and res.per_vertex == 0.0
+
+    @pytest.mark.parametrize("kind, want", [
+        ("path", 0.0), ("star", 0.0), ("cycle", math.log(4000)),
+        ("complete", 498 * math.log(500))])
+    def test_closed_forms_past_the_oracle(self, kind, want):
+        # id-ordered paths and stars take many rounds (and rely on the hashed
+        # tie-break); K_500 is dense at once
+        n, ids = 4000, np.arange(4000)
+        g = {"path": lambda: SparseGraph(n, np.stack([ids[:-1], ids[1:]], 1)),
+             "star": lambda: SparseGraph(n, np.stack([0 * ids[1:], ids[1:]], 1)),
+             "cycle": lambda: SparseGraph.from_edges(
+                 n, np.stack([ids, (ids + 1) % n], 1)),
+             "complete": lambda: complete_graph(500)}[kind]()
+        assert log_spanning_trees(g).log_tau == pytest.approx(want, rel=1e-12)
+
+    def test_pivot_error_names_the_row(self):
+        # the dense path: only row 1 has a negative pivot in any order
+        indefinite = np.array([[2.0, 0.0, 1.0], [0.0, -1.0, 0.0],
+                               [1.0, 0.0, 2.0]])
+        with pytest.raises(ValueError, match="pivot at vertex 1:"):
+            _log_det(indefinite, np.arange(3))
+        with pytest.raises(ValueError, match="pivot at vertex 11:"):
+            _log_det(indefinite, labels=[10, 11, 12])
+        # the sparse rounds: a diagonal matrix with one negative entry
+        diag = np.ones(100)
+        diag[37] = -1.0
+        with pytest.raises(ValueError, match="pivot at vertex 37:"):
+            _log_det(np.diag(diag), np.arange(100))
 
     def test_disconnected_raises_with_pivot(self):
         g = SparseGraph(4, [[0, 1], [2, 3]])
