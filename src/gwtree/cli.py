@@ -148,9 +148,11 @@ _COUPLE_NODE_BUDGET = 2_000_000
 
 # Most bytes the arena of one run of walk chunks may hold.  It keeps 32 bytes
 # for each child of each node the walks expand, and each of a chunk's walks
-# expands at most one node a step: one 8192-walk chunk at c = 100, K = 60
-# peaked at 1,555 MB (1.57 GB so estimated), and returns --c 1e5 --K 20 at
-# 249 MB for 2 walks and 555 MB for 6.
+# expands at most one node a step.  walk._walk_chunks regrows the arena by a
+# copy, so the old and the new columns hold the live rows at once: the
+# estimate counts them twice.  returns --c 1e5 --K 20 --workers 1 peaked at
+# 253 MB for 2 walks and 560 MB for 6 (estimates 256 and 768 MB, over a
+# 74 MB interpreter).
 _WALK_ARENA_BUDGET = 1 << 30
 _WALK_COMMANDS = ("returns", "estimate-f", "decay", "crosscheck")
 
@@ -220,14 +222,16 @@ def _validated_inputs(cmd: str, cfg: dict) -> dict:
         try:
             if cmd in _WALK_COMMANDS:
                 laws.positive_poisson_cdf(analytic.extinction_prob(c).ctheta)
-                # one run's arena: min(samples, 8192) walks of K steps
-                size = (32.0 * min(v["samples"], walk._WALK_CHUNK) * v["K"]
+                # one run's arena: min(samples, 8192) walks of K steps, held
+                # twice while it regrows
+                size = (64.0 * min(v["samples"], walk._WALK_CHUNK) * v["K"]
                         * sum(_mean_children(c)))
                 if size > _WALK_ARENA_BUDGET:
                     raise ConfigError(
                         f"c: walks at c = {c}, K = {v['K']} hold about "
-                        f"{size / 2**20:,.0f} MB of nodes a run, over the "
-                        f"budget of {_WALK_ARENA_BUDGET >> 20:,} MB")
+                        f"{size / 2**20:,.0f} MB of nodes a run, its "
+                        f"regrowth copy included, over the budget of "
+                        f"{_WALK_ARENA_BUDGET >> 20:,} MB")
             if cmd in ("bounds", "estimate-f", "crosscheck"):
                 analytic.expected_log_degree(analytic.extinction_prob(c))
         except ArithmeticError as exc:

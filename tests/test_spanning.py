@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwtree import (SparseGraph, empirical_f, extinction_prob, giant_component,
-                    log_spanning_trees, read_edgelist, sample_gnp,
+                    log_spanning_trees, read_edgelist, sample_gnp, spanning,
                     write_edgelist)
 from gwtree.rng import derive_seed
 from gwtree.spanning import _log_det
@@ -193,6 +193,36 @@ class TestLogSpanningTrees:
                  n, np.stack([ids, (ids + 1) % n], 1)),
              "complete": lambda: complete_graph(500)}[kind]()
         assert log_spanning_trees(g).log_tau == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [2.0, 3.0, 4.0])
+    def test_cli_scale_giants(self, c):
+        # the CLI's largest graphs: many rounds, then a tail of up to 1,250 rows
+        g = giant_component(sample_gnp(4000, c / 4000, derive_seed(31, c)))[0]
+        want = dense_log_tau(g)
+        assert log_spanning_trees(g).log_tau == pytest.approx(want, rel=1e-10)
+
+    def test_fill_bound_stops_the_rounds(self, monkeypatch):
+        # K_{30,3000} grounded on the small side: its first round would
+        # eliminate the 3,000 big-side vertices at once, 2.5 million fill
+        # pairs for 812 distinct entries, so the whole matrix goes dense
+        tails = []
+        real = spanning.dpotrf
+        monkeypatch.setattr(spanning, "dpotrf",
+                            lambda a, **kw: tails.append(len(a)) or real(a, **kw))
+        a, b = 30, 3000
+        edges = np.stack([np.repeat(np.arange(a), b),
+                          a + np.tile(np.arange(b), a)], 1)
+        got = log_spanning_trees(SparseGraph(a + b, edges)).log_tau
+        want = (b - 1) * math.log(a) + (a - 1) * math.log(b)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert tails == [a + b - 1]
+
+    def test_first_round_past_the_switch(self):
+        # mean degree 40: the first round's fill takes the matrix past the
+        # dense switch
+        g = giant_component(sample_gnp(3000, 40.0 / 3000, seed=8))[0]
+        want = dense_log_tau(g)
+        assert log_spanning_trees(g).log_tau == pytest.approx(want, rel=1e-10)
 
     def test_pivot_error_names_the_row(self):
         # the dense path: only row 1 has a negative pivot in any order
