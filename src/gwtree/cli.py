@@ -164,15 +164,16 @@ def _mean_children(c: float) -> tuple[float, float]:
     return p.ctheta / -math.expm1(-p.ctheta), p.cq
 
 
-def _complete_hi_nodes(mu: float, depth: int) -> float:
-    """Expected size of a complete hi tree: m^d type-I nodes at each depth
-    d <= depth, each with bushes of mean total size mu q/(1 - mu q), and
-    m^(depth+1) frontier stubs, where m = E[Q*(mu theta)]."""
-    m, cq = _mean_children(mu)
+def _complete_nodes(c: float, depth: int) -> float:
+    """Expected size of one complete tree of a couple pair at c: m^d type-I
+    nodes at each depth d <= depth, each with bushes of mean total size
+    cq/(1 - cq), and m^(depth+1) frontier stubs, where m = E[Q*(c theta)].
+    The bushes have no bound as c -> 1."""
+    m, cq = _mean_children(c)
     try:
         return (sum(m ** d for d in range(depth + 1)) * (1 + cq / (1 - cq))
                 + m ** (depth + 1))
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return math.inf
 
 
@@ -211,12 +212,15 @@ def _validated_inputs(cmd: str, cfg: dict) -> dict:
         except ArithmeticError as exc:
             raise ConfigError(
                 f"lam/mu: cannot couple at {lam}, {mu}: {exc}") from None
-        nodes = _complete_hi_nodes(mu, v["depth"])
-        if nodes > _COUPLE_NODE_BUDGET:
+        depth = v["depth"]
+        nodes = {"lam": _complete_nodes(lam, depth),
+                 "mu": _complete_nodes(mu, depth)}
+        total = sum(nodes.values())
+        if total > _COUPLE_NODE_BUDGET:
             raise ConfigError(
-                f"mu/depth: a pair at mu = {mu}, depth {v['depth']} holds "
-                f"about {nodes:.3g} nodes, over the budget of "
-                f"{_COUPLE_NODE_BUDGET:,}")
+                f"{max(nodes, key=nodes.get)}/depth: a pair at lambda = {lam}, "
+                f"mu = {mu}, depth {depth} holds about {total:.3g} nodes, "
+                f"over the budget of {_COUPLE_NODE_BUDGET:,}")
     cs = v["c"] if isinstance(v.get("c"), list) else [v.get("c")]
     for c in cs:
         try:

@@ -10,30 +10,37 @@ to exist but does not construct.
 
 sample_coupled_trees builds a pair (T, T') of survival-conditioned trees
 at parameters lam < mu together with a root-preserving node map from T
-into T', by recursing the following step over matched type-I vertices:
+into T', by recursing the following step over matched type-I vertices
+(u in T, v in T'):
 
-  * the count S of type-I children on the lam side plus an independent
-    Poisson(alpha*) overhead (alpha* = alpha(lam*theta_lam, mu*theta_mu))
-    is drawn jointly with the mu-side count H through one uniform and the
-    cdf tables of the two laws (hi clamped below lo), so H >= S surely;
-  * S is split conditionally into the actual lam-side type-I count and
-    the overhead W; thinning W with probability g/alpha*
-    (g = lam*q_lam - mu*q_mu) yields the number Z' of lam-only finite
-    bushes, so Z' <= W and hence H >= (type-I count) + Z';
-  * shared finite bushes (count Poisson(mu*q_mu), sizes Borel(mu*q_mu))
-    are built once and placed in both trees; the Z' extra bushes (sizes
-    proportional to the difference of expected per-size counts) go only
-    into the lam-side tree, their roots mapped to spare mu-side type-I
-    children.
+  * u takes the two-type step of the lam tree: A ~ Q*_{lam theta_lam}
+    type-I children and Poisson(lam q_lam) type-F children, the bush below
+    each grown by trees._bush at lam, the grower of sample_pgw_star;
+  * each bush is marked: one of size k is shared with probability
+    m_k(mu)/m_k(lam) = e^{k d}, d = (log mu - mu) - (log lam - lam), where
+    m_k(nu) = nu Borel_nu(k) is the mean number of size-k bushes below a
+    type-I vertex.  A shared bush is copied node for node below v; the E
+    others are lam-only extra bushes;
+  * S = A + E + V with V ~ Poisson(alpha* - g), where alpha* =
+    alpha(lam theta_lam, mu theta_mu) and g = lam q_lam - mu q_mu (their
+    difference is analytic.g_gap_via_alpha, >= 0).  v gets H type-I
+    children, H the quantile of the Q*_{mu theta_mu} table (clamped below
+    the table of S ~ Q*_{lam theta_lam} + Q_{alpha*}) at a uniform drawn
+    inside (F_S(S - 1), F_S(S)], so that (S, H) is the monotone coupling of
+    the two laws and H >= S >= A + E;
+  * the first A type-I children of v are matched with those of u, the next
+    E are the images of the extra bushes' roots, the rest are mu-only.
 
-Superposing the shared and extra bush point processes restores the exact
-per-size Poisson counts of the lam-side tree, so both marginals are exact.
+By the marking theorem of Poisson processes (Kingman, Poisson Processes,
+1993; the sizes are Borel by Dwass 1969) the shared bushes are exactly the
+bush process of a type-I vertex at mu, and they are independent of the
+extra ones, whose count E is Poisson(g).  So E + V is Poisson(alpha*), H
+is independent of the shared bushes, and both marginals are exact: T is
+the lam tree itself, T' has the mu step's laws at every matched vertex.
 The node map covers the matched type-I skeleton, the shared bushes
 (isomorphically), and the roots of the extra bushes; interiors of extra
 bushes have no structural counterpart on the mu side (their domination
 witness is the infinite subtree size of the image).
-Its tables come from laws.cdf_table; below lam of about 1.02 the bush-size
-tables cannot close and _CoupledSampler raises ArithmeticError.
 
 The spare (mu-only) type-I children of the hi side are left open, like the
 frontier stubs past the horizon: their subtrees do not depend on the
@@ -45,9 +52,10 @@ sample_pgw_star, each stub x keyed by child_key(derive_seed(seed,
 "couple-hi", lam, mu), x).  Both trees are built with trees' list builders.
 
 A pair takes its draws in traversal order from one buffer of uniforms
-refilled from substream (seed, "couple", lam, mu): counts and sizes invert
-their tables, the thinning is W Bernoulli trials, and a size-k bush shape is
-k - 2 sequence draws int(u k) and a root int(u k) (none for k <= 2).
+refilled from substream (seed, "couple", lam, mu): at each matched pair
+the counts A and of bushes, then each bush's nodes and its mark in turn,
+then V and the uniform that places H.  lo.bush_resamples counts the bushes
+resampled for passing trees.BUSH_NODE_CAP.
 """
 
 from __future__ import annotations
@@ -62,11 +70,11 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .analytic import alpha, extinction_prob
-from .laws import (cdf_table, log_borel, log_bush_excess, log_conv,
-                   log_split, poisson_cdf, positive_poisson_cdf, quantile)
+from .laws import (cdf_table, log_conv, poisson_cdf, positive_poisson_cdf,
+                   quantile)
 from .rng import child_key, derive_seed, substream
-from .trees import (TYPE_I, RootedTree, _add, _arena, _graft, _grow_star,
-                    _rooted_shape, _sizes)
+from .trees import (TYPE_F, TYPE_I, RootedTree, _add, _arena, _bush,
+                    _grow_star, _sizes, _star_tables)
 
 __all__ = [
     "TailReport",
@@ -324,22 +332,6 @@ def check_le1(lo: RootedTree, hi: RootedTree) -> bool:
     return _le1(lo, hi, np.array([lo.root]), np.array([hi.root]))
 
 
-_SMALL_SHAPES = {1: ([-1], [0]), 2: ([-1, 0], [0, 1])}
-
-
-# keyed by (seq as a tuple, k, root); its shapes are shared, and only read
-_cached_shape = lru_cache(maxsize=4096)(_rooted_shape)
-
-
-def _bush_shape(k: int, draw) -> tuple[list, ...]:
-    """A uniform rooted tree on k nodes as _rooted_shape lists, from k - 2
-    sequence entries and then the root label, each int(u * k)."""
-    if k in _SMALL_SHAPES:
-        return _SMALL_SHAPES[k]
-    seq = tuple([int(draw() * k) for _ in range(k - 2)])
-    return _cached_shape(seq, k, int(draw() * k))
-
-
 class _CoupledSampler:
     """Precomputed tables for one (lam, mu) pair; see the module docstring
     for the per-vertex coupling step."""
@@ -349,19 +341,13 @@ class _CoupledSampler:
             raise ValueError(f"requires mu > lam > 1, got lam={lam}, mu={mu}")
         self.lam, self.mu = lam, mu
         pl, pm = extinction_prob(lam), extinction_prob(mu)
-        self.rate_i_lo, self.rate_i_hi = pl.ctheta, pm.ctheta
-        self.rate_f_hi = pm.cq
-        self.alpha_star = alpha(self.rate_i_lo, self.rate_i_hi)
-        self.g = pl.cq - pm.cq  # expected extra finite mass on the lam side
-        self.thin_p = self.g / self.alpha_star  # in (0, 1)
-        self.cdf_loplus, self.cdf_ihi = _dominated_cdf_pair(
-            self.rate_i_lo, self.alpha_star, self.rate_i_hi)
-        self.shared_count_cdf = poisson_cdf(self.rate_f_hi)
-        # rate 0 (q(mu) is 0.0 past mu of about 372.6): the point mass at 1
-        self.shared_size_cdf = (cdf_table(log_borel, self.rate_f_hi)
-                                if self.rate_f_hi > 0.0 else (1.0,))
-        # sizes of lam-only bushes: pmf_k = (m_k(lam) - m_k(mu)) / g
-        self.extra_size_cdf = cdf_table(log_bush_excess, lam, mu)
+        self.qcdf, self.fcdf, _ = _star_tables(lam)
+        alpha_star = alpha(pl.ctheta, pm.ctheta)
+        cdf_s, self.cdf_h = _dominated_cdf_pair(pl.ctheta, alpha_star,
+                                                pm.ctheta)
+        self.cdf_s = (0.0, *cdf_s)  # F_S(k) at index k >= 0, up to its end
+        self.vcdf = poisson_cdf(alpha_star - (pl.cq - pm.cq))
+        self.d = (math.log(mu) - mu) - (math.log(lam) - lam)
 
     def sample(self, depth: int, seed: int) -> CoupledPair:
         rng = substream(seed, "couple", self.lam, self.mu)
@@ -372,40 +358,59 @@ class _CoupledSampler:
         lo, hi = ([-1], [0], [TYPE_I]), ([-1], [0], [TYPE_I])
         node_map = {0: 0}
         root_couple = None
+        resamples = 0
         stack = [(0, 0)]
         while stack:
             u, v = stack.pop()
-            unif = draw()
-            s_plus = quantile(self.cdf_loplus, unif)
-            h = quantile(self.cdf_ihi, unif)  # h >= s_plus
-            a = quantile(cdf_table(log_split, self.rate_i_lo, self.alpha_star,
-                                   s_plus), draw())
-            z_extra = sum([draw() < self.thin_p for _ in range(s_plus - a)])
-            z_shared = quantile(self.shared_count_cdf, draw()) - 1
-            shared_sizes = [quantile(self.shared_size_cdf, draw())
-                            for _ in range(z_shared)]
-            extra_sizes = [quantile(self.extra_size_cdf, draw())
-                           for _ in range(z_extra)]
-            # a matched children, then h - a spare ones left open
-            cu, cv = _add(lo, u, a), _add(hi, v, h)
+            a = quantile(self.qcdf, draw())
+            n_f = quantile(self.fcdf, draw()) - 1
+            cu = _add(lo, u, a)
+            _add(lo, u, n_f, TYPE_F)
+            shared, extra = [], []  # (root, interior from, interior to)
+            for b in range(cu + a, cu + a + n_f):
+                w = len(lo[0])
+                resamples += _bush(lo, b, self.fcdf, draw)
+                e = len(lo[0])
+                mark = draw() < math.exp((1 + e - w) * self.d)
+                (shared if mark else extra).append((b, w, e))
+            s = a + len(extra) + quantile(self.vcdf, draw()) - 1
+            h = self._h(s, draw())
+            # a matched children, the images of the extra roots, then the
+            # spare ones, left open
+            cv = _add(hi, v, h)
             pairs = list(zip(range(cu, cu + a), range(cv, cv + a)))
             node_map.update(pairs)
             if lo[1][u] < depth:  # else the children stay open stubs
                 stack.extend(pairs)
-            for size in shared_sizes:
-                shape = _bush_shape(size, draw)
-                bu, bv = _graft(lo, u, shape), _graft(hi, v, shape)
-                node_map.update(zip(range(bu, bu + size), range(bv, bv + size)))
-            for j, size in enumerate(extra_sizes):
-                # z_extra <= s_plus - a <= h - a spare children
-                node_map[_graft(lo, u, _bush_shape(size, draw))] = cv + a + j
+            node_map.update((b, cv + a + j) for j, (b, _, _) in
+                            enumerate(extra))
+            # the shared bushes, copied node for node
+            bv = _add(hi, v, len(shared), TYPE_F)
+            for b, w, e in shared:
+                node_map[b] = bv
+                shift = len(hi[0]) - w
+                node_map.update((x, x + shift) for x in range(w, e))
+                hi[0].extend([bv if p == b else p + shift
+                              for p in lo[0][w:e]])
+                hi[1].extend(lo[1][w:e])
+                hi[2].extend(lo[2][w:e])
+                bv += 1
             if u == 0:
                 root_couple = OffspringCouple(
-                    n_fin_lo=dict(Counter(shared_sizes + extra_sizes)),
-                    n_fin_hi=dict(Counter(shared_sizes)),
+                    n_fin_lo=dict(Counter(1 + e - w for _, w, e in
+                                          shared + extra)),
+                    n_fin_hi=dict(Counter(1 + e - w for _, w, e in shared)),
                     n_inf_lo=a, n_inf_hi=h)
-        return CoupledPair(_arena(lo), _arena(hi), node_map, root_couple,
-                           self.lam, self.mu, depth, seed)
+        return CoupledPair(_arena(lo, resamples), _arena(hi), node_map,
+                           root_couple, self.lam, self.mu, depth, seed)
+
+    def _h(self, s: int, unif: float) -> int:
+        """The hi type-I count coupled to S = s: the hi table's quantile at
+        F_S(s - 1) + (1 - unif) (F_S(s) - F_S(s - 1)), at least s even where
+        rounding closes that interval or s is past the end of the table."""
+        end = len(self.cdf_s) - 1
+        below, at = self.cdf_s[min(s - 1, end)], self.cdf_s[min(s, end)]
+        return max(s, quantile(self.cdf_h, below + (1.0 - unif) * (at - below)))
 
 
 @lru_cache(maxsize=16)

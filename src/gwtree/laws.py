@@ -37,27 +37,11 @@ def log_conv(lam: float, beta: float, k: int) -> float:
     return lp + math.log1p(-(beta / (lam + beta)) ** k) if beta else lp
 
 
-def log_split(rate: float, beta: float, s: int, a: int) -> float:
-    """A = a, B = s - a for A ~ Q*_rate, B ~ Q_beta; normalized over a, the
-    law of A given A + B = s."""
-    if a > s:
-        return -math.inf
-    return log_conv(rate, 0.0, a) + log_poisson(beta, s - a)
-
-
 def log_borel(lam: float, k: int) -> float:
     """Borel: size k of a Q_lam branching tree, (lam e^-lam)^k k^(k-1) /
     (lam k!); of total mass q(lam) for lam > 1."""
     return (k * (math.log(lam) - lam) + (k - 1) * math.log(k)
             - math.log(lam) - math.lgamma(k + 1))
-
-
-def log_bush_excess(lam: float, mu: float, k: int) -> float:
-    """m_k(lam) - m_k(mu), m_k(nu) = nu Borel_nu(k) the mean count of size-k
-    finite bushes below a vertex; for 1 < lam < mu it is positive and sums
-    to lam q(lam) - mu q(mu)."""
-    a = math.log(lam) + log_borel(lam, k)
-    return a + math.log1p(-math.exp(math.log(mu) + log_borel(mu, k) - a))
 
 
 @lru_cache(maxsize=256)

@@ -26,13 +26,18 @@ open type-I node to the horizon and keys each node's draws by its path (the
 counter-based rng.child_key and rng.node_uniform, no Generator per node), so
 deepening a tree (same seed, larger depth) reproduces the shallow tree
 exactly.  Type-I counts invert the laws module's positive-Poisson table at
-any c, type-F counts its Poisson table.  CoupledPair.complete() grows the
-mu-side stubs of a coupled pair with the same step.  sample_pgw draws one
+any c, type-F counts its Poisson table.  Every bush (the type-F subtree
+below a type-F child of a type-I node) is grown by _bush, the one bush loop
+of the package, from a callable that hands out uniforms in turn: here the
+draws of the bush root's path key, one hash a node; in the coupling of the
+domination module, the pair's buffered stream.  CoupledPair.complete() grows
+the mu-side stubs of a coupled pair with _grow_star.  sample_pgw draws one
 Poisson vector per level from its substream.
 
 Every tree is one RootedTree arena of per-node numpy arrays; children are
 derived from parent once per tree.  Node-by-node samplers build the lists
-(parent, depth, ntype) with _add and _graft only, and _arena converts them.
+(parent, depth, ntype) by appending, mostly with _add, and _arena converts
+them.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 from functools import lru_cache
+from itertools import count, repeat
 
 import numpy as np
 
@@ -245,20 +251,6 @@ def _add(t: tuple, p: int, n: int, ntype: int = TYPE_I) -> int:
     return w
 
 
-def _graft(t: tuple, p: int, shape) -> int:
-    """Give node p of the arena lists t a type-F bush of the given
-    _rooted_shape, its root first and its interior right after; returns the
-    root's id."""
-    parent, depth, ntype = t
-    bush_parent, bush_depth = shape
-    w, d = len(parent), depth[p] + 1
-    parent.extend(map(w.__add__, bush_parent))
-    parent[w] = p
-    depth.extend(map(d.__add__, bush_depth))
-    ntype.extend([TYPE_F] * len(bush_depth))
-    return w
-
-
 def _arena(t: tuple, bush_resamples: int = 0) -> RootedTree:
     """The RootedTree of the arena lists t; its childless type-I nodes are
     the open ones (an expanded type-I node has a type-I child)."""
@@ -269,37 +261,38 @@ def _arena(t: tuple, bush_resamples: int = 0) -> RootedTree:
     return tree
 
 
+def _bush(t: tuple, b: int, fcdf, draw) -> int:
+    """Sample the type-F subtree below node b of the arena lists t in full
+    (a.s. finite: its Poisson rate is at most 1), depth first, each node's
+    child count the quantile of fcdf at the next draw().  An attempt that
+    passes BUSH_NODE_CAP nodes is discarded and counted, and the next one
+    draws on; returns the number discarded."""
+    keep = len(t[0])
+    for attempt in range(64):
+        stack = [b]
+        while stack and len(t[0]) - keep <= BUSH_NODE_CAP:
+            x = stack.pop()
+            n = quantile(fcdf, draw()) - 1
+            if n:
+                w = _add(t, x, n, TYPE_F)
+                stack.extend(range(w, w + n))
+        if len(t[0]) - keep <= BUSH_NODE_CAP:
+            return attempt
+        for arr in t:
+            del arr[keep:]
+    raise ArithmeticError("bush sampling exceeded the node cap 64 times")
+
+
 def _grow_star(t: tuple, v: int, depth: int, key: int, c: float) -> int:
     """Expand the open type-I node v of the arena lists t with the two-type
     law at c, and its type-I descendants down to depth; the type-I children
-    made below depth stay open.  Node x draws from its path key (key at v,
-    child_key(key_x, i) at its i-th child).  Returns the number of bushes
-    resampled for passing BUSH_NODE_CAP."""
+    made below depth stay open.  A type-I node x draws node_uniform(key_x, 0)
+    and (key_x, 1), where key_x is key at v and child_key(key_x, i) at its
+    i-th child; the bush below its j-th child grows from node_uniform(
+    child_key(key_x, j), 0), (..., 1), ... in turn.  Returns the number of
+    bushes resampled for passing BUSH_NODE_CAP."""
     qcdf, fcdf, _ = _star_tables(c)
     resamples = 0
-
-    def bush(b: int, key: int) -> None:
-        """Sample the type-F subtree below b in full (a.s. finite: cq <= 1);
-        attempt a draws from child_key(key, a), and an attempt that passes
-        BUSH_NODE_CAP nodes is discarded and counted."""
-        nonlocal resamples
-        keep = len(t[0])
-        for attempt in range(64):
-            stack = [(b, child_key(key, attempt))]
-            while stack and len(t[0]) - keep <= BUSH_NODE_CAP:
-                x, k = stack.pop()
-                n = quantile(fcdf, node_uniform(k, 0)) - 1
-                if n:
-                    w = _add(t, x, n, TYPE_F)
-                    stack.extend((w + i, child_key(k, i)) for i in range(n))
-            if len(t[0]) - keep <= BUSH_NODE_CAP:
-                return
-            resamples += 1
-            for arr in t:
-                del arr[keep:]
-        raise ArithmeticError("bush sampling exceeded the node cap 64 times "
-                              f"at c = {c}")
-
     stack = [(v, key)]  # (type-I node, key)
     while stack:
         x, key = stack.pop()
@@ -308,7 +301,8 @@ def _grow_star(t: tuple, v: int, depth: int, key: int, c: float) -> int:
         w = _add(t, x, n_i)
         _add(t, x, n_f, TYPE_F)
         for j in range(n_i, n_i + n_f):
-            bush(w + j, child_key(key, j))
+            draws = map(node_uniform, repeat(child_key(key, j)), count())
+            resamples += _bush(t, w + j, fcdf, draws.__next__)
         if t[1][x] < depth:
             stack.extend((w + i, child_key(key, i)) for i in range(n_i))
     return resamples
@@ -429,8 +423,9 @@ def tree_from_text(text: str) -> RootedTree:
     for w, p in enumerate(parent.tolist()):
         depth[w] = depth[p] + 1 if p >= 0 else 0
     sizes = sizes.astype(float)
-    # nodes with unsampled children cannot be distinguished from childless
-    # ones in this format; infinite leaves are conservatively marked open
+    # the format has no open column: infinite childless nodes are the open
+    # ones, exactly so for every tree whose open nodes are childless, as the
+    # samplers leave them
     childless = np.bincount(parent[parent >= 0], minlength=len(v)) == 0
     return RootedTree(parent, depth,
                       [_CHAR_TYPE[ch] for ch in chars.tolist()],

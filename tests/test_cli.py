@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwtree import cli, trees
+from gwtree import cli, extinction_prob, trees
 from gwtree.cli import main
 
 
@@ -288,14 +288,15 @@ class TestOutput:
 
 
 class TestCouple:
-    @pytest.mark.parametrize("lam, mu", [(1.005, 1.01), (1.01, 1.5)])
-    def test_unclosable_tables_are_rejected(self, tmp_path, capsys, lam, mu):
+    @pytest.mark.parametrize("lam, mu, depth", [(1.005, 1.01, "2"),
+                                                (1.01, 1.5, "6")])
+    def test_lambda_near_one_runs(self, tmp_path, lam, mu, depth):
         rc, out = run(tmp_path, "cpl.json", ["couple", "--lambda", str(lam),
-                                             "--mu", str(mu)])
-        assert rc == 2
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert err.startswith("gwtree: error: lam/mu:") and err.count("\n") == 1
+                                             "--mu", str(mu), "--depth", depth])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert all(r["le1_ok"] and r["embedding_ok"] for r in doc["results"])
+        assert_complete(doc, int(depth))
 
     def test_extinction_underflow_at_mu(self, tmp_path):
         # q(mu) is about e^{-400} = 1.9e-174 here, so the hi side almost
@@ -332,14 +333,35 @@ class TestCouple:
         err = capsys.readouterr().err
         assert err.startswith("gwtree: error: mu/depth:") and err.count("\n") == 1
 
+    def test_lambda_tree_work_bound(self, tmp_path, capsys, monkeypatch):
+        # the bushes of a lam tree hold lam q/(1 - lam q), about 1e7 nodes,
+        # below each type-I node here
+        def no_work(*args):
+            raise AssertionError("built a pair")
+        monkeypatch.setattr(cli.domination, "sample_coupled_trees", no_work)
+        rc, out = run(tmp_path, "cpl.json", ["couple", "--lambda", "1.0000001",
+                                             "--mu", "1.02"])
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("gwtree: error: lam/depth:") and "budget" in err
+        assert err.count("\n") == 1
+
     def test_large_pair_within_bound(self, tmp_path):
-        # about 1.5e5 hi nodes
+        # hi has 1 + H + H_1 + ... + H_H nodes, H and the H_i independent
+        # Q*(r) with r = mu theta(mu) (mu q(mu) is about e^-380: no bushes),
+        # so its mean is 1 + m + m^2, about 1.45e5, and its variance
+        # v (1 + 3m + m^2), m and v the mean and variance of Q*(r)
         rc, out = run(tmp_path, "cpl.json",
                       ["couple", "--lambda", "1.5", "--mu", "380",
                        "--depth", "1", "--samples", "1"])
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert doc["results"][0]["hi_nodes"] > 140_000
+        r = extinction_prob(380.0).ctheta
+        m = r / -math.expm1(-r)
+        v = (r + r * r) / -math.expm1(-r) - m * m
+        mean, sd = 1 + m + m * m, math.sqrt(v * (1 + 3 * m + m * m))
+        assert abs(doc["results"][0]["hi_nodes"] - mean) <= 4 * sd
         assert_complete(doc, 1)
 
 

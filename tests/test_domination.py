@@ -8,16 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chi2_contingency
+from scipy.stats import chi2, chi2_contingency
 
 from gwtree import (TYPE_F, TYPE_I, alpha, check_le1, conv_pmf, degree_pmf,
                     extinction_prob, killed_walk_visits, positive_poisson_pmf,
                     sample_coupled_trees, sample_dominated_offspring,
                     sample_dominated_offspring_many, sample_pgw_star,
                     subtree_stats, verify_tail_domination)
-from gwtree.domination import _bush_shape
+from gwtree import trees
+from gwtree.domination import _CoupledSampler
+from gwtree.laws import poisson_cdf
 from gwtree.rng import derive_seed
-from gwtree.trees import RootedTree
+from gwtree.trees import RootedTree, _bush
 
 INF = math.inf
 
@@ -260,6 +262,60 @@ class TestCoupledTrees:
             sample_coupled_trees(0.9, 1.5, 3, seed=0)
 
 
+def mean_bush_count(nu, k):
+    """m_k(nu) = (nu e^-nu)^k k^(k-1) / k!, the mean number of size-k bushes
+    below a type-I vertex at nu."""
+    return math.exp(k * (math.log(nu) - nu) + (k - 1) * math.log(k)
+                    - math.lgamma(k + 1))
+
+
+class TestMarking:
+    def test_shared_and_extra_bush_sizes(self):
+        # per-size counts at the root are independent Poisson: shared ones of
+        # mean m_k(mu), extra ones of mean m_k(lam) - m_k(mu); sizes above 5
+        # share a bin
+        lam, mu, n = 1.5, 2.0, 20_000
+        shared, extra = np.zeros(6), np.zeros(6)
+        for i in range(n):
+            rc = sample_coupled_trees(lam, mu, 1, derive_seed(18, i)).root_couple
+            for size, cnt in rc.n_fin_lo.items():
+                hi = rc.n_fin_hi.get(size, 0)
+                shared[min(size, 6) - 1] += hi
+                extra[min(size, 6) - 1] += cnt - hi
+        cq_lam, cq_mu = extinction_prob(lam).cq, extinction_prob(mu).cq
+        for got, mean, total in (
+                (shared, lambda k: mean_bush_count(mu, k), cq_mu),
+                (extra, lambda k: mean_bush_count(lam, k)
+                 - mean_bush_count(mu, k), cq_lam - cq_mu)):
+            want = np.array([mean(k) for k in range(1, 6)])
+            want = n * np.append(want, total - want.sum())
+            stat = float(((got - want) ** 2 / want).sum())
+            assert chi2.sf(stat, len(want)) >= 1e-4, (got, want)
+
+    def test_hi_count_never_below_s(self):
+        sampler = _CoupledSampler(1.5, 2.0)
+        end = len(sampler.cdf_s)
+        # S past the end of its table: the interval is the point 1.0
+        for unif in (0.0, 0.5, 1.0 - 2.0 ** -53):
+            assert sampler._h(end + 5, unif) == end + 5
+        # an interval that rounds to a point, where both tables are flat
+        sampler.cdf_s, sampler.cdf_h = (0.0, 0.5, 0.5, 1.0), (0.5, 1.0)
+        assert sampler._h(2, 0.3) == 2
+
+    def test_capped_bushes_are_counted(self, monkeypatch):
+        # near lam = 1 a bush passes a cap of 2 nodes below its root often
+        monkeypatch.setattr(trees, "BUSH_NODE_CAP", 2)
+        pair = sample_coupled_trees(1.01, 1.5, 3, seed=5).complete()
+        lo = pair.lo
+        assert lo.bush_resamples > 0
+        lo.validate()
+        pair.validate_embedding()
+        assert pair.audit_le1()
+        subtree_stats(lo)
+        roots = (lo.ntype == TYPE_F) & (lo.ntype[lo.parent] == TYPE_I)
+        assert roots.any() and (lo.subtree_size[roots] <= 3).all()
+
+
 def two_sample_pvalue(x, y):
     """Chi-square two-sample p-value on bins (edges[i-1], edges[i]] cut at
     the pooled deciles; empty bins are dropped."""
@@ -348,37 +404,48 @@ def shape_key(parent):
 
 
 class TestBushShape:
-    def shape_law(self, k):
-        """Exact shape law of _bush_shape over all k^(k-1) equally likely
-        draw sequences (each draw at the centre of its cell)."""
+    """The shape law of trees._bush given the bush size, which both
+    sample_pgw_star and the coupling use: uniform over labeled rooted trees,
+    whatever the rate."""
+
+    def shape_law(self, k, rate):
+        """Exact shape law of a size-k bush at the rate: every sequence of k
+        child counts is scripted as draws at the centres of their cells of
+        the Poisson table and weighted by its pmf; the sequences that grow a
+        size-k bush from exactly k draws are kept."""
+        cdf = (0.0, *poisson_cdf(rate))
         law = {}
-        for cells in itertools.product(range(k), repeat=k - 1):
-            draws = iter([(j + 0.5) / k for j in cells])
-            parent, depth = _bush_shape(k, draws.__next__)
-            assert next(draws, None) is None  # k - 1 draws, no more
+        for counts in itertools.product(range(k), repeat=k):
+            draws = iter([(cdf[n] + cdf[n + 1]) / 2 for n in counts])
+            t = ([-1], [0], [TYPE_F])
+            try:
+                assert _bush(t, 0, poisson_cdf(rate), draws.__next__) == 0
+            except StopIteration:  # the counts ask for more nodes
+                continue
+            if next(draws, None) is not None:  # ... or for fewer
+                continue
+            parent, depth, _ = t
             key = shape_key(parent)
             assert tuple(sorted(depth)) == key
-            for j in range(1, k):  # parents first, one level up
-                assert parent[j] < j and depth[j] == depth[parent[j]] + 1
-            law[key] = law.get(key, 0) + 1
-        return {key: cnt / k ** (k - 1) for key, cnt in law.items()}
-
-    def test_small_sizes_draw_nothing(self):
-        def no_draw():
-            raise AssertionError("drew a uniform")
-        assert _bush_shape(1, no_draw)[:2] == ([-1], [0])
-        assert _bush_shape(2, no_draw)[:2] == ([-1, 0], [0, 1])
+            weight = math.prod(math.exp(-rate) * rate ** n / math.factorial(n)
+                               for n in counts)
+            law[key] = law.get(key, 0.0) + weight
+        total = sum(law.values())
+        return {key: w / total for key, w in law.items()}
 
     def test_three_nodes(self):
-        assert self.shape_law(3) == {(0, 1, 1): 1 / 3, (0, 1, 2): 2 / 3}
+        for rate in (0.3, 0.9):
+            assert self.shape_law(3, rate) == pytest.approx(
+                {(0, 1, 1): 1 / 3, (0, 1, 2): 2 / 3}, rel=1e-12)
 
     def test_four_nodes(self):
-        assert self.shape_law(4) == {
-            (0, 1, 2, 3): 24 / 64,  # path rooted at an end
-            (0, 1, 1, 2): 24 / 64,  # path rooted inside
-            (0, 1, 1, 1): 4 / 64,   # star rooted at its centre
-            (0, 1, 2, 2): 12 / 64,  # star rooted at a leaf
-        }
+        for rate in (0.3, 0.9):
+            assert self.shape_law(4, rate) == pytest.approx({
+                (0, 1, 2, 3): 24 / 64,  # path rooted at an end
+                (0, 1, 1, 2): 24 / 64,  # path rooted inside
+                (0, 1, 1, 1): 4 / 64,   # star rooted at its centre
+                (0, 1, 2, 2): 12 / 64,  # star rooted at a leaf
+            }, rel=1e-12)
 
 
 def pair_with(predicate, depth=3):

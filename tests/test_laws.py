@@ -7,9 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gwtree import extinction_prob
-from gwtree.laws import (cdf_table, log_borel, log_bush_excess, log_split,
-                         poisson_cdf, positive_poisson_cdf, quantile)
+from gwtree.laws import (cdf_table, log_borel, poisson_cdf,
+                         positive_poisson_cdf, quantile)
 
 
 def table_mean(tab):
@@ -48,21 +47,6 @@ class TestCdfTable:
         # Borel near criticality decays like k^{-3/2} (1 - 5e-5)^k
         with pytest.raises(ArithmeticError, match="did not close"):
             cdf_table(log_borel, 0.99)
-
-    def test_split_law_stays_in_range(self):
-        for s in (1, 2, 5, 30):
-            tab = cdf_table(log_split, 1.3, 0.4, s)
-            assert tab[-1] == 1.0
-            assert quantile(tab, 1.0 - 2.0 ** -53) <= s
-
-    @pytest.mark.parametrize("lam, mu", [(1.2, 1.5), (1.5, 2.0)])
-    def test_bush_excess_mass(self, lam, mu):
-        # the excess of expected bush counts sums to lam q(lam) - mu q(mu)
-        tab = cdf_table(log_bush_excess, lam, mu)
-        total = sum(math.exp(log_bush_excess(lam, mu, k))
-                    for k in range(1, len(tab) + 1))
-        g = extinction_prob(lam).cq - extinction_prob(mu).cq
-        assert total == pytest.approx(g, rel=1e-12)
 
 
 class TestQuantile:

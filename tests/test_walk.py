@@ -209,7 +209,7 @@ class TestKilledWalk:
                       1, 2, 2, 1, 1, 2, 3, 1, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
                       2, 2]
         assert sum(killed_walk_visits(t, 0.9, derive_seed(5, i), grow=2.0)
-                   for i in range(2000)) == 4376
+                   for i in range(2000)) == 4521
 
     def test_grown_walk_leaves_tree_unchanged(self, monkeypatch):
         # a walk grows its own copy of the tree's lists, never the tree
