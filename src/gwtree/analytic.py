@@ -98,25 +98,26 @@ def _require_finite(name, x):
 _TINY = sys.float_info.min
 
 
-def _bisect_q(c: float) -> float:
-    # h(q) = q - exp(-c(1-q)) is < 0 on (0, q*) and > 0 on (q*, 1) for c > 1,
-    # so plain bisection on (0, 1) converges to the smallest root.
-    lo, hi = 0.0, 1.0 - 1e-15
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if mid - math.exp(-c * (1.0 - mid)) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _near_critical_theta(c: float) -> float:
+    """theta by Newton on h(theta) = phi(c theta) - eps theta, where eps =
+    c - 1 (exact for c in [1, 2]) and phi(x) = e^{-x} - 1 + x.  Unlike q -
+    e^{-c(1-q)}, h has no cancelling terms.  h is convex and positive at
+    2 eps, so Newton descends from there onto the root."""
+    eps, theta = c - 1.0, 2.0 * (c - 1.0)
+    for _ in range(8):  # from under 10% off, the error squares each step
+        x = c * theta  # phi as its series below 0.1, where expm1 cancels
+        phi = (math.expm1(-x) + x if x >= 0.1 else
+               math.fsum((-x) ** k / math.factorial(k) for k in range(2, 20)))
+        theta -= (phi - eps * theta) / (-c * math.expm1(-x) - eps)
+    return theta
 
 
 def extinction_prob(c: float, tol: float = 1e-12) -> GWParams:
     """Solve q = exp(-c(1-q)) for the smallest root, c > 1.
 
-    Monotone fixed-point iteration from 0 with Aitken acceleration; falls
-    back to bisection near criticality (|c - 1| < 0.05), where the
-    iteration's contraction factor cq approaches 1.
+    Monotone fixed-point iteration from 0 with Aitken acceleration; near
+    criticality (c < 1.05), where the iteration's contraction factor cq
+    approaches 1, Newton on the survival probability theta itself.
     """
     _require_finite("c", c)
     if c <= 1.0:
@@ -125,8 +126,9 @@ def extinction_prob(c: float, tol: float = 1e-12) -> GWParams:
     if not (0.0 < tol <= 1e-6):
         raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
 
-    if abs(c - 1.0) < 0.05:
-        q = _bisect_q(c)
+    if c - 1.0 < 0.05:
+        theta = _near_critical_theta(c)
+        q = 1.0 - theta
     else:
         q = 0.0
         for _ in range(200):
@@ -146,10 +148,9 @@ def extinction_prob(c: float, tol: float = 1e-12) -> GWParams:
                 q = q_next
                 break
             q = q_next
-        if abs(q - math.exp(-c * (1.0 - q))) > 0.5 * tol:
-            q = _bisect_q(c)
+        theta = 1.0 - q
 
-    params = GWParams(c=float(c), q=q, theta=1.0 - q)
+    params = GWParams(c=float(c), q=q, theta=theta)
     if params.fixed_point_residual() > tol:
         raise ArithmeticError(
             f"fixed-point residual {params.fixed_point_residual():.3e} "

@@ -36,7 +36,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, NamedTuple
 
-from . import __version__, analytic, domination, laws, spanning, trees, walk
+from . import __version__, analytic, domination, spanning, trees, walk
 from .rng import derive_seed
 
 _REQUIRED = object()  # the default of a field with no default
@@ -225,7 +225,7 @@ def _validated_inputs(cmd: str, cfg: dict) -> dict:
     for c in cs:
         try:
             if cmd in _WALK_COMMANDS:
-                laws.positive_poisson_cdf(analytic.extinction_prob(c).ctheta)
+                trees._star_tables(c)  # the tables the walks invert
                 # one run's arena: min(samples, 8192) walks of K steps, held
                 # twice while it regrows
                 size = (64.0 * min(v["samples"], walk._WALK_CHUNK) * v["K"]

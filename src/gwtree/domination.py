@@ -341,7 +341,7 @@ class _CoupledSampler:
             raise ValueError(f"requires mu > lam > 1, got lam={lam}, mu={mu}")
         self.lam, self.mu = lam, mu
         pl, pm = extinction_prob(lam), extinction_prob(mu)
-        self.qcdf, self.fcdf, _ = _star_tables(lam)
+        self.qcdf, self.fcdf = _star_tables(lam)
         alpha_star = alpha(pl.ctheta, pm.ctheta)
         cdf_s, self.cdf_h = _dominated_cdf_pair(pl.ctheta, alpha_star,
                                                 pm.ctheta)

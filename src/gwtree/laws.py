@@ -1,9 +1,9 @@
 """The offspring and bush-size laws in the log domain, and their cdf tables.
 
 Q_r is Poisson(r) and Q*_r is Poisson(r) conditioned positive.  This is
-the only implementation of these laws: samplers draw from one by building
-its cdf table once (cdf_table, cached by law and parameters) and inverting
-it per draw (quantile).
+the only implementation of these laws, and no sampler calls numpy's: every
+offspring count draws from one by building its cdf table once (cdf_table,
+cached by law and parameters) and inverting it per draw (quantile).
 """
 
 from __future__ import annotations

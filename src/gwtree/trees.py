@@ -31,8 +31,8 @@ below a type-F child of a type-I node) is grown by _bush, the one bush loop
 of the package, from a callable that hands out uniforms in turn: here the
 draws of the bush root's path key, one hash a node; in the coupling of the
 domination module, the pair's buffered stream.  CoupledPair.complete() grows
-the mu-side stubs of a coupled pair with _grow_star.  sample_pgw draws one
-Poisson vector per level from its substream.
+the mu-side stubs of a coupled pair with _grow_star.  sample_pgw inverts the
+Poisson table at one uniform vector per level from its substream.
 
 Every tree is one RootedTree arena of per-node numpy arrays; children are
 derived from parent once per tree.  Node-by-node samplers build the lists
@@ -198,17 +198,19 @@ def sample_pgw(c: float, node_cap: int, seed: int) -> RootedTree:
     """Poisson(c) branching tree by breadth-first level growth.
 
     If the arena would exceed node_cap the sample stops with capped=True
-    and the unexpanded nodes left open.
+    and the unexpanded nodes left open.  c past about 1.96e5, where the
+    Poisson(c) table cannot close, raises its ArithmeticError.
     """
     if not (c > 0.0) or not math.isfinite(c):
         raise ValueError(f"sample_pgw requires finite c > 0, got {c}")
     if node_cap < 1:
         raise ValueError(f"node_cap must be >= 1, got {node_cap}")
+    table = np.asarray(poisson_cdf(c))
     rng = substream(seed, "pgw", c)
     counts = []  # child counts of each expanded level, in breadth-first order
     width, size, capped = 1, 1, False
     while width:
-        k = rng.poisson(c, size=width)
+        k = quantile(table, rng.random(width)) - 1
         m = int(k.sum())
         if size + m > node_cap:
             capped = True  # this level and beyond stay open
@@ -230,14 +232,12 @@ def sample_pgw(c: float, node_cap: int, seed: int) -> RootedTree:
 @lru_cache(maxsize=64)
 def _star_tables(c: float) -> tuple:
     """cdf tables of the type-I count Q*_{c theta} and of 1 + the type-F
-    count Q_{cq}, and the rate cq."""
+    count Q_{cq}."""
     if c == 1.0:
-        rate_i, rate_f = 0.0, 1.0
-    else:
-        from .analytic import extinction_prob
-        params = extinction_prob(c)
-        rate_i, rate_f = params.ctheta, params.cq
-    return positive_poisson_cdf(rate_i), poisson_cdf(rate_f), rate_f
+        return positive_poisson_cdf(0.0), poisson_cdf(1.0)
+    from .analytic import extinction_prob
+    params = extinction_prob(c)
+    return positive_poisson_cdf(params.ctheta), poisson_cdf(params.cq)
 
 
 def _add(t: tuple, p: int, n: int, ntype: int = TYPE_I) -> int:
@@ -291,7 +291,7 @@ def _grow_star(t: tuple, v: int, depth: int, key: int, c: float) -> int:
     i-th child; the bush below its j-th child grows from node_uniform(
     child_key(key_x, j), 0), (..., 1), ... in turn.  Returns the number of
     bushes resampled for passing BUSH_NODE_CAP."""
-    qcdf, fcdf, _ = _star_tables(c)
+    qcdf, fcdf = _star_tables(c)
     resamples = 0
     stack = [(v, key)]  # (type-I node, key)
     while stack:

@@ -21,8 +21,8 @@ the estimator is unbiased for the same estimand with variance read off the
 sample.  Trees touched this way are never materialized beyond the walk's
 trace.  Walks go in chunks of 8192, each drawing from its own substream; a
 run of consecutive chunks reuses one node arena, and an executor walks up
-to `workers` runs at once, so the output does not depend on the pool.  Type-I
-offspring counts invert the laws module's positive-Poisson table.
+to `workers` runs at once, so the output does not depend on the pool.  Both
+walk engines invert the laws module's tables for all offspring counts.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def killed_walk_visits(t: RootedTree, s: float, seed: int,
                 f"needs depth >= {required_depth_for_killed_walk(s)} "
                 "(or pass grow=c for lazy extension)")
     else:
-        qcdf, _, rate_f = _star_tables(grow)
+        qcdf, fcdf = _star_tables(grow)
 
     rng = substream(seed, "killedwalk")
     parent, n = t.parent, len(t)  # t's column, then lists[0]
@@ -186,7 +186,7 @@ def killed_walk_visits(t: RootedTree, s: float, seed: int,
             parent = lists[0]
         n_i = quantile(qcdf, rng.random()) if lists[2][v] == TYPE_I else 0
         w = _add(lists, v, n_i)
-        _add(lists, v, int(rng.poisson(rate_f)), TYPE_F)
+        _add(lists, v, quantile(fcdf, rng.random()) - 1, TYPE_F)
         return range(w, len(parent))
 
     cur, visits = t.root, 1
@@ -209,8 +209,7 @@ def _walk_chunks(c: float, K: int, seed: int, starts, n_samples: int):
     """Walk the run of consecutive chunks that begin at `starts` on one arena,
     reused from chunk to chunk; returns the run's (per_sample, hits) as
     _annealed_return_walks does."""
-    qcdf, _, cq = _star_tables(c)
-    qcdf = np.asarray(qcdf)
+    qcdf, fcdf = map(np.asarray, _star_tables(c))
     sizes = [min(_WALK_CHUNK, n_samples - s) for s in starts]
     per_sample = np.zeros(sum(sizes))
     hits = np.zeros(K + 1, dtype=np.int64)
@@ -240,7 +239,7 @@ def _walk_chunks(c: float, K: int, seed: int, starts, n_samples: int):
                 is_i = nodes < f_start[parent[nodes]]
                 n_i = np.zeros(len(nodes), np.int64)
                 n_i[is_i] = quantile(qcdf, rng.random(np.count_nonzero(is_i)))
-                tot = n_i + rng.poisson(cq, len(nodes))
+                tot = n_i + quantile(fcdf, rng.random(len(nodes))) - 1
                 offs = np.cumsum(tot)
                 new_total = int(offs[-1])
                 offs += size - tot

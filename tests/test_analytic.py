@@ -51,6 +51,27 @@ class TestExtinctionProb:
         assert p.fixed_point_residual() <= 1e-12
         assert 0.9 < p.q < 1.0
 
+    # c - 1 on a log grid from 1e-14 up to the largest grid value below 0.05,
+    # where the Aitken iteration takes over (c = 1.05 itself is past it)
+    NEAR_CRITICAL = [10.0 ** (k / 2) for k in range(-28, -2)] + [0.0499]
+
+    def test_near_critical_theta_against_mpmath(self):
+        # theta = 1 - q is the positive root of 1 - t = e^{-ct}, bracketed by
+        # [eps, 3 eps] near c = 1 and solved in 60 digits
+        for e in self.NEAR_CRITICAL:
+            c = 1.0 + e
+            eps = c - 1.0
+            with mpmath.workdps(60):
+                cm = mpmath.mpf(c)
+                want = float(mpmath.findroot(
+                    lambda t: 1 - t - mpmath.exp(-cm * t),
+                    (mpmath.mpf(eps), 3 * mpmath.mpf(eps)), solver="anderson"))
+            p = extinction_prob(c)
+            assert p.theta == pytest.approx(want, rel=1e-14, abs=0), c
+            assert p.q == 1.0 - p.theta and p.fixed_point_residual() <= 1e-12
+            # theta = 2 eps (1 - 4 eps / 3 + O(eps^2)) as c -> 1
+            assert abs(p.theta / (2.0 * eps) - 1.0) <= 2.0 * eps, c
+
     def test_cq_strictly_decreasing(self):
         cqs = [extinction_prob(c).cq for c in C_GRID]
         assert all(a > b for a, b in zip(cqs, cqs[1:]))

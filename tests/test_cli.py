@@ -33,6 +33,13 @@ class TestParams:
         assert row["q"] == pytest.approx(0.20319, abs=1e-5)
         assert row["duality_residual"] <= 1e-10
 
+    def test_near_critical_theta(self, tmp_path):
+        # theta = 2 eps (1 - 4 eps / 3 + ...) at c = 1 + eps
+        rc, out = run(tmp_path, "p.json", ["params", "--c", "1.0000000001"])
+        row = json.loads(out.read_text())["results"][0]
+        assert rc == 0
+        assert row["theta"] == pytest.approx(2e-10, rel=1e-6)
+
     def test_grid(self, tmp_path):
         rc, out = run(tmp_path, "p.json", ["params", "--c", "1.5,2,3"])
         doc = json.loads(out.read_text())

@@ -1,12 +1,14 @@
 """Laws: log-pmfs, cdf tables and their closing rule, quantile lookup."""
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gwtree
 from gwtree.laws import (cdf_table, log_borel, poisson_cdf,
                          positive_poisson_cdf, quantile)
 
@@ -55,3 +57,12 @@ class TestQuantile:
         u = np.random.default_rng(0).random(10_000)
         vec = quantile(np.asarray(tab), u)
         assert vec.tolist() == [quantile(tab, float(x)) for x in u]
+
+
+def test_laws_is_the_one_poisson_source():
+    # every offspring count inverts a laws table; no numpy Poisson sampler
+    src = pathlib.Path(gwtree.__file__).parent
+    calls = [f"{f.name}:{i}" for f in sorted(src.glob("*.py"))
+             for i, line in enumerate(f.read_text().splitlines(), 1)
+             if ".poisson(" in line]
+    assert calls == []

@@ -12,6 +12,7 @@ from gwtree import (TYPE_F, TYPE_I, RootedTree, borel_pmf, degree_pmf,
                     extinction_prob, sample_pgw, sample_pgw_star,
                     sample_uniform_rooted_tree, subtree_stats, tree_from_text,
                     tree_to_text, trees)
+from gwtree.laws import poisson_cdf, quantile
 from gwtree.rng import child_key, derive_seed, node_uniform, substream
 
 INF = math.inf
@@ -27,12 +28,13 @@ def make_path(n):
 
 def reference_pgw(c, node_cap, seed):
     """sample_pgw grown node by node with add_node, from the same draws."""
+    table = np.asarray(poisson_cdf(c))
     rng = substream(seed, "pgw", c)
     t = RootedTree()
     t.add_node(-1)
     level = [0]
     while level:
-        counts = rng.poisson(c, size=len(level))
+        counts = quantile(table, rng.random(len(level))) - 1
         if len(t) + int(counts.sum()) > node_cap:
             t.capped = True
             return t
@@ -114,6 +116,11 @@ class TestSamplePgw:
     def test_validate_on_samples(self):
         for i in range(200):
             sample_pgw(0.8, 10_000, derive_seed(2, i)).validate()
+
+    def test_rate_past_the_table_raises_before_drawing(self):
+        # the Poisson(3e5) table cannot close within 200000 terms
+        with pytest.raises(ArithmeticError, match="did not close"):
+            sample_pgw(3e5, 10, 0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

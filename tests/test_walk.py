@@ -6,6 +6,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 from gwtree import (EstimateReport, estimate_f, estimate_return_integral,
                     expected_log_degree, extinction_prob, green_truncation_bound,
@@ -39,6 +40,30 @@ def star(d):
     for _ in range(d):
         t.add_node(0, open_=False)
     return t
+
+
+def annealed_p2(c, kmax=120):
+    """E[p_2] on the survival-conditioned tree, as an exact series.
+
+    p_2 = (1/D) sum over root children v of 1/deg(v).  A type-I child has
+    degree 1 + A + B with A ~ Q*_{c theta}, B ~ Poisson(c q); a type-F child
+    has degree 1 + B.  The root's child counts (D_I, D_F) have the same two
+    laws, independently, so
+        E[p_2] = E[D_I/D] E[1/(1+A+B)] + E[D_F/D] E[1/(1+B)].
+    """
+    p = extinction_prob(c)
+    ks = np.arange(kmax + 1)
+    pa = np.where(ks >= 1, poisson.pmf(ks, p.ctheta), 0.0) / -math.expm1(
+        -p.ctheta)
+    pb = poisson.pmf(ks, p.cq)
+    joint = np.outer(pa, pb)
+    a, b = np.meshgrid(ks, ks, indexing="ij")
+    total = a + b
+    share_i = float(np.sum(joint * np.divide(a, total, out=np.zeros(a.shape),
+                                             where=total > 0)))
+    inv_i = float(np.sum(joint / (1.0 + total)))
+    inv_f = float(np.sum(pb / (1.0 + ks)))
+    return share_i * inv_i + (1.0 - share_i) * inv_f
 
 
 def transition_matrix(t):
@@ -209,7 +234,20 @@ class TestKilledWalk:
                       1, 2, 2, 1, 1, 2, 3, 1, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
                       2, 2]
         assert sum(killed_walk_visits(t, 0.9, derive_seed(5, i), grow=2.0)
-                   for i in range(2000)) == 4521
+                   for i in range(2000)) == 4528
+
+    def test_lazy_growth_law_is_the_annealed_walk(self):
+        # E[visits] = 1 + sum_k s^k E[p_k] on a tree grown along the walk: a
+        # depth-0 tree with grow=c against the annealed engine's hits
+        c, s, n, m = 2.0, 0.7, 20_000, 400_000
+        xs = np.array([killed_walk_visits(
+            sample_pgw_star(c, 0, derive_seed(19, "tree", i)), s,
+            derive_seed(19, "walk", i), grow=c) for i in range(n)])
+        _, hits = _annealed_return_walks(c, 80, m, seed=19)
+        want = 1.0 + sum(s ** k * hits[k] / m for k in range(1, 81))
+        # per walk, the annealed sum is E[visits - 1 | path]: no more variance
+        se = xs.std(ddof=1) * math.sqrt(1.0 / n + 1.0 / m)
+        assert abs(xs.mean() - want) <= 4.0 * se, (xs.mean(), want, se)
 
     def test_grown_walk_leaves_tree_unchanged(self, monkeypatch):
         # a walk grows its own copy of the tree's lists, never the tree
@@ -299,20 +337,21 @@ class TestEstimators:
 
 
 class TestAnnealedEnginePinned:
-    """sha256 of (per_sample, hits) at K = 20 as computed before walk chunks
-    shared one arena: several chunks, and a short chunk after full ones.
-    c enters the substream key as given, so c = 2 and c = 2.0 differ."""
+    """sha256 of (per_sample, hits) at K = 20, with type-F counts drawn from
+    the laws module's Poisson table: several chunks, and a short chunk after
+    full ones.  c enters the substream key as given, so c = 2 and c = 2.0
+    differ."""
 
     PINS = {
         (2, 20000, 1): (
-            "e438182fae59242b6094a4c9db4fae343960fec70688b6acf348ee1b9ce568c0",
-            "913ab86569b48c4a12e237a021fb1286bfa688a0deb792318aff4e265d2d337f"),
+            "1cf7da450a6e3a31c2f87c34a5dfd136d15bd703d20b02ae6bc5fdb52919d85e",
+            "4bf2b32560be4be1d05b7ee431c2ab6ce3f76216e2d4ddae4ab6277c2e12efc7"),
         (4, 16389, 2): (
-            "d22207edf378e0c2729355f37e4413b2fbba0d23ba4ffa93f6bf7e501d37631f",
-            "1e3bbe9fa72d53f6c5770f02a19ab2c03737f6a159738772f2bc1bf56e58dcfc"),
+            "242f2121e682576a7c7d6692862444453b35a0506dae08b1ecdbeedd000a49a1",
+            "a861715954bb78630ad7fe7909b268c2beb0fe1e4e61e9d7b46ace505eb03af9"),
         (1.5, 8192, 3): (
-            "ed6d046433c38c538324ae14f25311d8a8028fc5e331de9f5b1565e007b44ad8",
-            "c888e8a80a7f4bee0b1a080f5456078835dc43889a801005909bdbd2b64bf4c3"),
+            "a0fa9da3ef9c85f2272eab8b10ed2a831cc267d065aaa4a17af80fa55ab49a4f",
+            "848dffd763698920bc85536409de6d53d573f31f4c3d30cb4b93027358a20811"),
     }
 
     @staticmethod
@@ -339,6 +378,12 @@ class TestAnnealedEnginePinned:
 
 
 class TestDecayDiagnostic:
+    @pytest.mark.parametrize("c", [1.5, 2.0, 3.0, 4.0])
+    def test_p2_matches_exact_series(self, c):
+        k, p, se = pbar_decay_diagnostic(c, 20, 200_000, seed=11).rows[1]
+        assert k == 2
+        assert abs(p - annealed_p2(c)) <= 4.0 * se, (p, annealed_p2(c), se)
+
     def test_table_and_fit(self):
         diag = pbar_decay_diagnostic(2.0, 40, 100_000, seed=17)
         ks = [k for k, _, _ in diag.rows]
