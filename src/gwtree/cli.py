@@ -146,22 +146,14 @@ def _resolve(args: argparse.Namespace) -> dict:
 _COUPLE_NODE_BUDGET = 2_000_000
 
 
-# Most bytes the arena of one run of walk chunks may hold.  It keeps 32 bytes
-# for each child of each node the walks expand, and each of a chunk's walks
-# expands at most one node a step.  walk._walk_chunks regrows the arena by a
-# copy, so the old and the new columns hold the live rows at once: the
-# estimate counts them twice.  returns --c 1e5 --K 20 --workers 1 peaked at
-# 253 MB for 2 walks and 560 MB for 6 (estimates 256 and 768 MB, over a
-# 74 MB interpreter).
-_WALK_ARENA_BUDGET = 1 << 30
+# Most bytes the walk stacks of one run may hold.  walk._walk_chunks keeps
+# 24 bytes (a key and two counts) for each of K + 1 stack levels of each of
+# a chunk's min(samples, 8192) walks, whatever c is; the estimate counts
+# K + 2 levels, the last for the chunk's per-walk vectors.  Levels that no
+# walk reaches stay untouched: returns --c 2 --K 1000 --samples 8192
+# --workers 1 peaked at 122 MB (estimate 188 MB over a 67 MB interpreter).
+_WALK_STACK_BUDGET = 1 << 30
 _WALK_COMMANDS = ("returns", "estimate-f", "decay", "crosscheck")
-
-
-def _mean_children(c: float) -> tuple[float, float]:
-    """E[Q*(c theta)] and cq: the mean type-I and type-F child counts of a
-    type-I node."""
-    p = analytic.extinction_prob(c)
-    return p.ctheta / -math.expm1(-p.ctheta), p.cq
 
 
 def _complete_nodes(c: float, depth: int) -> float:
@@ -169,7 +161,8 @@ def _complete_nodes(c: float, depth: int) -> float:
     nodes at each depth d <= depth, each with bushes of mean total size
     cq/(1 - cq), and m^(depth+1) frontier stubs, where m = E[Q*(c theta)].
     The bushes have no bound as c -> 1."""
-    m, cq = _mean_children(c)
+    p = analytic.extinction_prob(c)
+    m, cq = p.ctheta / -math.expm1(-p.ctheta), p.cq
     try:
         return (sum(m ** d for d in range(depth + 1)) * (1 + cq / (1 - cq))
                 + m ** (depth + 1))
@@ -221,21 +214,18 @@ def _validated_inputs(cmd: str, cfg: dict) -> dict:
                 f"{max(nodes, key=nodes.get)}/depth: a pair at lambda = {lam}, "
                 f"mu = {mu}, depth {depth} holds about {total:.3g} nodes, "
                 f"over the budget of {_COUPLE_NODE_BUDGET:,}")
+    if cmd in _WALK_COMMANDS:
+        size = 24 * (v["K"] + 2) * min(v["samples"], walk._WALK_CHUNK)
+        if size > _WALK_STACK_BUDGET:
+            raise ConfigError(
+                f"K: walks of {v['K']} steps hold about {size / 2**20:,.0f} "
+                f"MB of stacks a run, over the budget of "
+                f"{_WALK_STACK_BUDGET >> 20:,} MB")
     cs = v["c"] if isinstance(v.get("c"), list) else [v.get("c")]
     for c in cs:
         try:
             if cmd in _WALK_COMMANDS:
                 trees._star_tables(c)  # the tables the walks invert
-                # one run's arena: min(samples, 8192) walks of K steps, held
-                # twice while it regrows
-                size = (64.0 * min(v["samples"], walk._WALK_CHUNK) * v["K"]
-                        * sum(_mean_children(c)))
-                if size > _WALK_ARENA_BUDGET:
-                    raise ConfigError(
-                        f"c: walks at c = {c}, K = {v['K']} hold about "
-                        f"{size / 2**20:,.0f} MB of nodes a run, its "
-                        f"regrowth copy included, over the budget of "
-                        f"{_WALK_ARENA_BUDGET >> 20:,} MB")
             if cmd in ("bounds", "estimate-f", "crosscheck"):
                 analytic.expected_log_degree(analytic.extinction_prob(c))
         except ArithmeticError as exc:

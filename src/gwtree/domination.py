@@ -181,14 +181,18 @@ def verify_tail_domination(lam: float, mu: float, beta: float | None = None,
         norm_a = mp.e ** (-beta_) / (mp.e ** lam_ - 1)
         norm_b = 1 / (mp.e ** mu_ - 1)
         cum_a = cum_b = mpf(0)
-        fact = mpf(1)
+        fact = pow_s = pow_b = pow_m = mpf(1)  # k!, (lam+beta)^k, beta^k, mu^k
+        sum_ = lam_ + beta_
         min_margin = mp.inf
         violated_at = None
         thresh = mpf(10) ** (-(dps - 20))
         for k in range(1, kmax + 1):
             fact *= k
-            a_k = norm_a * ((lam_ + beta_) ** k - beta_ ** k) / fact
-            b_k = norm_b * mu_ ** k / fact
+            pow_s *= sum_
+            pow_b *= beta_
+            pow_m *= mu_
+            a_k = norm_a * (pow_s - pow_b) / fact
+            b_k = norm_b * pow_m / fact
             cum_a += a_k
             cum_b += b_k
             margin = cum_a - cum_b  # = P(hi > k) - P(lo > k)

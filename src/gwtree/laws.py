@@ -4,6 +4,15 @@ Q_r is Poisson(r) and Q*_r is Poisson(r) conditioned positive.  This is
 the only implementation of these laws, and no sampler calls numpy's: every
 offspring count draws from one by building its cdf table once (cdf_table,
 cached by law and parameters) and inverting it per draw (quantile).
+
+A table inverts a large array of draws through its guide table (Chen &
+Asau, 1974), built on first use and cached by the table's identity: L >=
+2 len(table) buckets, a power of two, each holding the number of table
+entries below its left end.  The bucket of u gives a k that is at most the
+answer, one step up settles nearly every draw, and np.searchsorted the few
+left, so the result is bit-identical to np.searchsorted on the table.
+Tables stay plain tuples: bisect_left, the scalar lookup, is about three
+times slower on any tuple subclass.
 """
 
 from __future__ import annotations
@@ -16,6 +25,27 @@ import numpy as np
 
 _TAIL_TOL = 2.0 ** -53  # the resolution of a uniform draw in [0, 1)
 _KCAP = 200_000
+_GUIDE_MIN = 1024  # fewer draws than this go by np.searchsorted
+# id(table) -> (table, its array, L, its guide); holding the table keeps its
+# id from being reused while the entry lives
+_guides: dict[int, tuple] = {}
+
+
+def _guided(table: tuple) -> tuple:
+    """The numpy array, bucket count L and guide of a cdf table, built on
+    first use; at most 64 tables are kept."""
+    entry = _guides.get(id(table))
+    if entry is None:
+        if len(_guides) >= 64:
+            _guides.clear()
+        arr = np.asarray(table)
+        size = 4096
+        while size < 2 * len(arr):
+            size *= 2
+        # one more bucket, at u = 1.0, takes the end of the table
+        guide = np.searchsorted(arr, np.arange(size + 1) / size)
+        entry = _guides[id(table)] = (table, arr, size, guide)
+    return entry[1:]
 
 
 def log_expm1(x: float) -> float:
@@ -82,7 +112,18 @@ def poisson_cdf(rate: float) -> tuple[float, ...]:
 
 def quantile(table, u):
     """Least k with P(X <= k) >= u for u in [0, 1): by bisection for a float
-    u, by np.searchsorted for an array u (pass the table as an array)."""
+    u, and by np.searchsorted for an array u, through the table's guide once
+    u holds 1024 draws if the table is a tuple."""
     if isinstance(u, float):
         return bisect_left(table, u) + 1
-    return np.searchsorted(table, u, side="left") + 1
+    if not isinstance(table, tuple):
+        return np.searchsorted(table, u, side="left") + 1
+    arr, size, guide = _guided(table)
+    if len(u) < _GUIDE_MIN:
+        return np.searchsorted(arr, u, side="left") + 1
+    k = guide[(u * size).astype(np.intp)]  # u * size is exact: size = 2^m
+    up = np.flatnonzero(arr[k] < u)
+    k[up] += 1
+    up = up[arr[k[up]] < u[up]]
+    k[up] = np.searchsorted(arr, u[up], side="left")
+    return k + 1

@@ -16,6 +16,10 @@ of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC
 sampled tree invariant under deepening: sampling the same seed with a
 larger horizon reproduces the shallower tree exactly on the shared
 levels.
+
+child_keys and node_uniforms are the same two functions on numpy uint64
+key arrays, bit for bit: numpy's uint64 arithmetic wraps mod 2^64, which is
+exactly SplitMix64's.  The walk engine grows its trees with them.
 """
 
 from __future__ import annotations
@@ -64,3 +68,35 @@ def child_key(key: int, i: int) -> int:
 def node_uniform(key: int, j: int) -> float:
     """The j-th uniform draw in [0, 1) of the node with the given key."""
     return (_mix(key + (2 * j + 2) * _GAMMA) >> 11) * 2.0 ** -53
+
+
+def _mix_array(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer of each element of a uint64 array, in place."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
+
+
+def _offsets(n, odd: int) -> np.ndarray | int:
+    """(2 n + odd) * _GAMMA mod 2^64: for an int n as a Python int, so no
+    numpy scalar product overflows, and elementwise for an array."""
+    if isinstance(n, (int, np.integer)):
+        return (2 * int(n) + odd) * _GAMMA & _MASK64
+    z = np.asarray(n).astype(np.uint64) * (2 * _GAMMA & _MASK64)
+    z += odd * _GAMMA & _MASK64
+    return z
+
+
+def child_keys(keys, i) -> np.ndarray:
+    """child_key of each uint64 key, child i (an int or an array)."""
+    return _mix_array(_offsets(i, 1) + np.asarray(keys, np.uint64))
+
+
+def node_uniforms(keys, j) -> np.ndarray:
+    """node_uniform of each uint64 key, draw j (an int or an array)."""
+    z = _mix_array(_offsets(j, 2) + np.asarray(keys, np.uint64))
+    z >>= 11
+    return z * 2.0 ** -53

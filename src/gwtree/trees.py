@@ -205,7 +205,7 @@ def sample_pgw(c: float, node_cap: int, seed: int) -> RootedTree:
         raise ValueError(f"sample_pgw requires finite c > 0, got {c}")
     if node_cap < 1:
         raise ValueError(f"node_cap must be >= 1, got {node_cap}")
-    table = np.asarray(poisson_cdf(c))
+    table = poisson_cdf(c)
     rng = substream(seed, "pgw", c)
     counts = []  # child counts of each expanded level, in breadth-first order
     width, size, capped = 1, 1, False

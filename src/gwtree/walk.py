@@ -13,16 +13,19 @@ restriction is dropped; it cannot return within the horizon.
 Estimators.  A survival-conditioned tree materialized to depth K/2 has on
 the order of c^{K/2} vertices, which is out of reach for the parameters of
 interest (c up to 4, K = 60).  The integral estimators therefore sample
-the annealed quantity directly: each Monte Carlo sample grows a fresh tree
-lazily along one simulated walk trajectory (offspring drawn on first
-visit), and records 1/k for each return time k <= K.  The per-sample value
-has expectation sum_{k<=K} E[p_k]/k, the K-truncated return integral, so
-the estimator is unbiased for the same estimand with variance read off the
-sample.  Trees touched this way are never materialized beyond the walk's
-trace.  Walks go in chunks of 8192, each drawing from its own substream; a
-run of consecutive chunks reuses one node arena, and an executor walks up
-to `workers` runs at once, so the output does not depend on the pool.  Both
-walk engines invert the laws module's tables for all offspring counts.
+the annealed quantity directly: each Monte Carlo sample walks a fresh tree
+along one simulated trajectory and records 1/k for each return time
+k <= K.  The per-sample value has expectation sum_{k<=K} E[p_k]/k, the
+K-truncated return integral, so the estimator is unbiased for the same
+estimand with variance read off the sample.  The trees are path keyed, as
+sample_pgw_star's are: a node's child counts are a function of its key,
+drawn afresh each time the walk enters it, so no tree is ever stored.  A
+walk holds only the keys and counts of the nodes on its path from the root,
+one stack level per depth, whatever c is.  Walks go in chunks of 8192, each
+drawing its step choices from its own substream; an executor walks up to
+`workers` runs of consecutive chunks at once, so the output does not depend
+on the pool.  Both walk engines invert the laws module's tables for all
+offspring counts.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from scipy.sparse import csr_matrix
 from .analytic import expected_log_degree, extinction_prob
 from .laws import quantile
 from .reports import EstimateReport
-from .rng import substream
+from .rng import child_keys, derive_seed, node_uniforms, substream
 from .trees import TYPE_F, TYPE_I, RootedTree, _add, _star_tables
 
 __all__ = [
@@ -205,61 +208,62 @@ def killed_walk_visits(t: RootedTree, s: float, seed: int,
 # annealed walk engine
 
 
+def _node_counts(keys: np.ndarray, is_i: np.ndarray, qcdf, fcdf):
+    """The type-I and total child counts of the nodes with the given path
+    keys and types, drawn as _grow_star draws them: a type-I node's from its
+    draws 0 and 1, a type-F node's (type-F children only) from its draw 0."""
+    u = node_uniforms(keys, 0)
+    n_i = quantile(qcdf, u) * is_i
+    return n_i, n_i + quantile(fcdf, np.where(is_i, node_uniforms(keys, 1),
+                                              u)) - 1
+
+
 def _walk_chunks(c: float, K: int, seed: int, starts, n_samples: int):
-    """Walk the run of consecutive chunks that begin at `starts` on one arena,
-    reused from chunk to chunk; returns the run's (per_sample, hits) as
-    _annealed_return_walks does."""
-    qcdf, fcdf = map(np.asarray, _star_tables(c))
+    """Walk the run of consecutive chunks that begin at `starts`; returns the
+    run's (per_sample, hits) as _annealed_return_walks does.
+
+    Walk j (counted over all chunks) walks the path-keyed tree with root key
+    child_key(derive_seed(seed, "annealedtree", c), j), whose root is type
+    I.  A node's counts are a function of its key, so a walk keeps only the
+    path from its root to where it stands: level d of its stack holds the
+    key, type-I count and child count of its node at depth d.  A step up
+    pops a level; a step down to child i hashes child_key(key, i), draws
+    that child's counts and pushes them (child i is type I if i is below the
+    type-I count).  The step choices alone come from the chunk's substream.
+    """
+    qcdf, fcdf = _star_tables(c)
+    tree_key = derive_seed(seed, "annealedtree", c)
     sizes = [min(_WALK_CHUNK, n_samples - s) for s in starts]
     per_sample = np.zeros(sum(sizes))
     hits = np.zeros(K + 1, dtype=np.int64)
-    # node columns: parent, first child, child count, first type-F child
-    # (children before it are type I); slots past `size` are stale
-    cols = np.empty((4, 8 * max(sizes) + 64), np.int64)
-    parent, child_start, n_child, f_start = cols
+    # the stacks of a chunk's m walks: level d of walk w at slot d * m + w
+    keys = np.empty((K + 1) * max(sizes), np.uint64)
+    n_i = np.empty(len(keys), np.int64)
+    n_child = np.empty(len(keys), np.int64)
     for start, m in zip(starts, sizes):
         # one substream per chunk: walks are then identical across runs with
         # different K, so K-truncated estimates are monotone per seed
         rng = substream(seed, "annealedwalk", c, start)
-        # nodes 0..m-1 are the roots of the m walk trees; node m is their
-        # common parent, whose children are all type I
-        parent[:m], f_start[m] = m, m + 1
-        child_start[:m] = -1
-        size = m + 1
-        cur = np.arange(m)
-        at_root = np.ones(m, bool)
+        keys[:m] = child_keys(tree_key, np.arange(start, start + m))
+        n_i[:m], n_child[:m] = _node_counts(keys[:m], np.ones(m, bool), qcdf,
+                                            fcdf)
+        slot = np.arange(m)  # each walk's slot: its depth times m, plus w
         acc = per_sample[start - starts[0]:start - starts[0] + m]
 
         for k in range(1, K + 1):
-            first = child_start[cur]
-            kids = n_child[cur]
-            idx = np.flatnonzero(first < 0)
-            if len(idx):
-                nodes = cur[idx]
-                is_i = nodes < f_start[parent[nodes]]
-                n_i = np.zeros(len(nodes), np.int64)
-                n_i[is_i] = quantile(qcdf, rng.random(np.count_nonzero(is_i)))
-                tot = n_i + quantile(fcdf, rng.random(len(nodes))) - 1
-                offs = np.cumsum(tot)
-                new_total = int(offs[-1])
-                offs += size - tot
-                if size + new_total > cols.shape[1]:
-                    grown = np.empty((4, 2 * (size + new_total)), np.int64)
-                    grown[:, :size] = cols[:, :size]
-                    cols = grown
-                    parent, child_start, n_child, f_start = cols
-                child_start[nodes] = first[idx] = offs
-                n_child[nodes] = kids[idx] = tot
-                f_start[nodes] = offs + n_i
-                parent[size:size + new_total] = np.repeat(nodes, tot)
-                child_start[size:size + new_total] = -1
-                size += new_total
-
-            deg = kids + ~at_root
+            kids = n_child[slot]
+            deg = kids + (slot >= m)  # a non-root node has its parent too
+            # r < deg: a double u < 1 times an integer rounds below it
             r = (rng.random(m) * deg).astype(np.int64)
-            np.minimum(r, deg - 1, out=r)
-            cur = np.where(r < kids, first + r, parent[cur])
-            at_root = cur < m
+            down = np.flatnonzero(r < kids)
+            top, i = slot[down], r[down]
+            slot -= m  # every walk pops a level, and those stepping down
+            slot[down] += 2 * m  # to their child i push one instead
+            new = top + m
+            keys[new] = child = child_keys(keys[top], i)
+            n_i[new], n_child[new] = _node_counts(child, i < n_i[top], qcdf,
+                                                  fcdf)
+            at_root = slot < m
             if k % 2 == 0:
                 np.add(acc, 1.0 / k, out=acc, where=at_root)
             hits[k] += np.count_nonzero(at_root)

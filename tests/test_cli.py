@@ -82,18 +82,29 @@ class TestValidation:
         assert err.startswith("gwtree: error: c:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("cmd", [
-        ["returns", "--c", "1e5", "--K", "20"],
-        ["estimate-f", "--c", "2,1000"],
-        ["decay", "--c", "1000"],
-        ["crosscheck", "--c", "1000", "--n", "1000"]])
+        ["returns", "--c", "2", "--K", "6000"],
+        ["estimate-f", "--c", "2,1000", "--K", "6000"],
+        ["decay", "--c", "1000", "--K", "6000"],
+        ["crosscheck", "--c", "3", "--n", "1000", "--K", "6000"]])
     def test_walk_arena_over_budget(self, tmp_path, capsys, cmd):
-        # one run of 8192 walks would hold far more than a gigabyte of nodes
+        # the walk stacks of 8192 walks of 6000 steps, 24 B x 6002 x 8192,
+        # are over a gigabyte at any c
         rc, out = run(tmp_path, "x.json", cmd + ["--workers", "1"])
         assert rc == 2
         assert not out.exists()
         err = capsys.readouterr().err
-        assert err.startswith("gwtree: error: c:") and "budget" in err
+        assert err.startswith("gwtree: error: K:") and "budget" in err
         assert err.count("\n") == 1
+
+    def test_walk_memory_does_not_grow_with_c(self, tmp_path):
+        # the stacks hold a walk's path, not the children of every node on
+        # it, so c = 1e5 needs no more memory than c = 2
+        rc, out = run(tmp_path, "x.json",
+                      ["returns", "--c", "1e5", "--K", "20", "--samples",
+                       "20000", "--workers", "1"])
+        assert rc == 0
+        row = json.loads(out.read_text())["results"][0]
+        assert 0.0 <= row["value"] < 1.0
 
     @pytest.mark.parametrize("cmd", [
         ["bounds", "--c", "1e5"],

@@ -16,7 +16,7 @@ from gwtree import (TYPE_F, TYPE_I, alpha, check_le1, conv_pmf, degree_pmf,
                     sample_dominated_offspring_many, sample_pgw_star,
                     subtree_stats, verify_tail_domination)
 from gwtree import trees
-from gwtree.domination import _CoupledSampler
+from gwtree.domination import TailReport, _CoupledSampler
 from gwtree.laws import poisson_cdf
 from gwtree.rng import derive_seed
 from gwtree.trees import RootedTree, _bush
@@ -58,7 +58,49 @@ class TestConvPmf:
             conv_pmf(1.0, -0.1, 1)
 
 
+def tail_report_by_powers(lam, mu, beta=None, kmax=200, dps=400):
+    """verify_tail_domination as it was written first, with every power
+    raised anew at each k: the reference for its running products."""
+    with mpmath.workdps(dps):
+        lam_, mu_ = mpmath.mpf(lam), mpmath.mpf(mu)
+        if beta is None:
+            beta_ = (mpmath.log((mpmath.e ** mu_ - 1) / mu_)
+                     - mpmath.log((mpmath.e ** lam_ - 1) / lam_))
+        else:
+            beta_ = mpmath.mpf(beta)
+        norm_a = mpmath.e ** (-beta_) / (mpmath.e ** lam_ - 1)
+        norm_b = 1 / (mpmath.e ** mu_ - 1)
+        cum_a = cum_b = mpmath.mpf(0)
+        fact = mpmath.mpf(1)
+        min_margin, violated_at = mpmath.inf, None
+        thresh = mpmath.mpf(10) ** (-(dps - 20))
+        for k in range(1, kmax + 1):
+            fact *= k
+            cum_a += norm_a * ((lam_ + beta_) ** k - beta_ ** k) / fact
+            cum_b += norm_b * mu_ ** k / fact
+            min_margin = min(min_margin, cum_a - cum_b)
+            if violated_at is None and cum_a - cum_b < -thresh:
+                violated_at = k
+        return TailReport(lam=float(lam), mu=float(mu), beta=float(beta_),
+                          kmax=kmax, min_margin=float(min_margin),
+                          violated_at=violated_at)
+
+
 class TestVerifyTailDomination:
+    def test_running_products_match_powers(self):
+        # the README's pair and the lambda and mu grids of the benchmark, the
+        # acceptance gate and this file, at the boundary mass and a hair over
+        lams, mus = (1.0, 1.1, 1.5, 2.0, 3.0), (1.5, 2.0, 3.0, 4.0)
+        for lam, mu in itertools.product(lams, mus):
+            if mu > lam:
+                assert (verify_tail_domination(lam, mu, kmax=200)
+                        == tail_report_by_powers(lam, mu)), (lam, mu)
+                bad = alpha(lam, mu) + 1e-4
+                assert (verify_tail_domination(lam, mu, bad, 200, dps=60)
+                        == tail_report_by_powers(lam, mu, bad, dps=60))
+        assert (verify_tail_domination(1.0, 2.0, kmax=50)
+                == tail_report_by_powers(1.0, 2.0, kmax=50))
+
     def test_boundary_mass_gives_no_violation(self):
         rep = verify_tail_domination(1.0, 2.0)
         assert rep.violated_at is None

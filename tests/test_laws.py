@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gwtree
-from gwtree.laws import (cdf_table, log_borel, poisson_cdf,
+from gwtree.laws import (_GUIDE_MIN, cdf_table, log_borel, poisson_cdf,
                          positive_poisson_cdf, quantile)
 
 
@@ -57,6 +57,29 @@ class TestQuantile:
         u = np.random.default_rng(0).random(10_000)
         vec = quantile(np.asarray(tab), u)
         assert vec.tolist() == [quantile(tab, float(x)) for x in u]
+
+
+class TestGuideQuantile:
+    """The array quantile through a table's guide is np.searchsorted on the
+    table, on either side of the size below which it is searchsorted."""
+
+    @given(st.sampled_from([poisson_cdf, positive_poisson_cdf]),
+           st.floats(-3.0, 5.0), st.integers(0, 2**32 - 1))
+    @example(poisson_cdf, 5.0, 0)
+    @example(positive_poisson_cdf, -3.0, 0)
+    @settings(max_examples=40, deadline=None)
+    def test_equals_searchsorted(self, law, log_rate, seed):
+        table = law(10.0 ** log_rate)
+        arr = np.asarray(table)
+        u = np.concatenate([[0.0, 1.0 - 2.0 ** -53], arr,
+                            np.nextafter(arr, 0.0),
+                            np.random.default_rng(seed).random(2 * _GUIDE_MIN)])
+        np.random.default_rng(seed).shuffle(u)
+        want = np.searchsorted(arr, u, side="left") + 1
+        assert np.array_equal(quantile(table, u), want)
+        for s in range(0, len(u), _GUIDE_MIN - 1):  # below the cut
+            part = u[s:s + _GUIDE_MIN - 1]
+            assert np.array_equal(quantile(table, part), want[s:s + len(part)])
 
 
 def test_laws_is_the_one_poisson_source():

@@ -1,9 +1,15 @@
-"""Substream naming: labels key streams by the values they hold."""
+"""Substream naming: labels key streams by the values they hold; the
+vector path-keyed kernel against the scalar one."""
+
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gwtree.rng import derive_seed
+from gwtree.rng import (child_key, child_keys, derive_seed, node_uniform,
+                        node_uniforms)
 
 
 class TestDeriveSeed:
@@ -21,3 +27,37 @@ class TestDeriveSeed:
 
     def test_distinct_labels_stay_distinct(self):
         assert derive_seed(5, "x", np.float64(2.5)) != derive_seed(5, "x", 2.0)
+
+
+class TestVectorKernel:
+    """child_keys and node_uniforms are child_key and node_uniform on uint64
+    arrays, bit for bit, with no overflow warning from numpy."""
+
+    EDGES = [0, 2**63 - 1, 2**64 - 1]
+    KEYS = st.lists(st.integers(0, 2**64 - 1), max_size=40)
+
+    @staticmethod
+    def vector(keys, i):
+        arr = np.array(keys, np.uint64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return child_keys(arr, i).tolist(), node_uniforms(arr, i).tolist()
+
+    @given(KEYS, st.integers(0, 2**20))
+    @example([], 2**20)
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_index(self, keys, i):
+        keys = self.EDGES + keys
+        assert self.vector(keys, i) == ([child_key(k, i) for k in keys],
+                                        [node_uniform(k, i) for k in keys])
+
+    @given(st.data(), KEYS)
+    @settings(max_examples=200, deadline=None)
+    def test_index_array(self, data, keys):
+        keys = self.EDGES + keys
+        idx = data.draw(st.lists(st.integers(0, 2**20), min_size=len(keys),
+                                 max_size=len(keys)))
+        idx[0] = 2**20
+        assert self.vector(keys, np.array(idx)) == (
+            [child_key(k, i) for k, i in zip(keys, idx)],
+            [node_uniform(k, j) for k, j in zip(keys, idx)])

@@ -14,7 +14,7 @@ from gwtree import (EstimateReport, estimate_f, estimate_return_integral,
                     required_depth_for_killed_walk, return_probs, return_sum,
                     sample_coupled_trees, sample_pgw_star)
 from gwtree import trees, walk
-from gwtree.rng import derive_seed
+from gwtree.rng import child_key, derive_seed
 from gwtree.trees import RootedTree
 from gwtree.walk import _annealed_return_walks
 
@@ -337,21 +337,21 @@ class TestEstimators:
 
 
 class TestAnnealedEnginePinned:
-    """sha256 of (per_sample, hits) at K = 20, with type-F counts drawn from
-    the laws module's Poisson table: several chunks, and a short chunk after
-    full ones.  c enters the substream key as given, so c = 2 and c = 2.0
-    differ."""
+    """sha256 of (per_sample, hits) at K = 20, on path-keyed trees walked
+    with per-walk stacks: several chunks, and a short chunk after full ones.
+    c enters the tree key and the substream key as given, so c = 2 and
+    c = 2.0 differ."""
 
     PINS = {
         (2, 20000, 1): (
-            "1cf7da450a6e3a31c2f87c34a5dfd136d15bd703d20b02ae6bc5fdb52919d85e",
-            "4bf2b32560be4be1d05b7ee431c2ab6ce3f76216e2d4ddae4ab6277c2e12efc7"),
+            "a41f29176dc296cd22e5387cc1dd2f9852086f1b3d9d018795e94343c006b60e",
+            "06df6193043e7373201b78169c4684cd648a6f6767400723aec6bd51e39a0b0c"),
         (4, 16389, 2): (
-            "242f2121e682576a7c7d6692862444453b35a0506dae08b1ecdbeedd000a49a1",
-            "a861715954bb78630ad7fe7909b268c2beb0fe1e4e61e9d7b46ace505eb03af9"),
+            "51593cab03ac5849a574b454c79b025c392e36c3a3e5a11c97605047caced00e",
+            "8138e773ab92c2b944ebd00e4360aa1efeb5734b68a51c25173228e11d25eca4"),
         (1.5, 8192, 3): (
-            "a0fa9da3ef9c85f2272eab8b10ed2a831cc267d065aaa4a17af80fa55ab49a4f",
-            "848dffd763698920bc85536409de6d53d573f31f4c3d30cb4b93027358a20811"),
+            "e1902d7e004a6e0edcf67f8c85a53933d6f83b67ef04d0020826fdeaf683d50d",
+            "4a8543e464f9b3cc722890fc3aa1f0d63162b9a71896fc4045db7eef2a2ec943"),
     }
 
     @staticmethod
@@ -375,6 +375,61 @@ class TestAnnealedEnginePinned:
         with ThreadPoolExecutor(max_workers=2) as ex:
             for key, pin in self.PINS.items():
                 assert self.digests(*key, executor=ex) == pin, key
+
+
+class TestPathKeyedTrees:
+    """The engine walks _grow_star's trees: the counts it draws for a key are
+    those _grow_star gives the node of that key, at every type-I node and
+    bush root the walks enter (deeper bush nodes are keyed by path in the
+    engine and by draw order in _grow_star, so they are not compared)."""
+
+    @staticmethod
+    def reference(c, key, depth):
+        """(is type I, type-I count, child count) by key, for the type-I
+        nodes to depth and their bush roots of _grow_star's tree."""
+        lists = ([-1], [0], [trees.TYPE_I])
+        trees._grow_star(lists, 0, depth, key, c)
+        t = trees._arena(lists)
+        ref, stack = {}, [(0, key)]
+        while stack:
+            v, k = stack.pop()
+            kids = t.children[v]
+            n_i = int(np.count_nonzero(t.ntype[kids] == trees.TYPE_I))
+            ref[k] = (True, n_i, len(kids))
+            for i, w in enumerate(kids):
+                if i >= n_i:
+                    ref[child_key(k, i)] = (False, 0, len(t.children[w]))
+                elif t.depth[w] <= depth:
+                    stack.append((w, child_key(k, i)))
+        return ref
+
+    @pytest.mark.parametrize("c", [1.5, 2.0, 4.0])
+    def test_counts_match_grow_star(self, monkeypatch, c):
+        seed, m, depth = 23, 40, 4
+        drawn = {}
+
+        def recording(keys, is_i, qcdf, fcdf):
+            n_i, n_child = counts(keys, is_i, qcdf, fcdf)
+            for row in zip(keys.tolist(), is_i.tolist(), n_i.tolist(),
+                           n_child.tolist()):
+                assert drawn.setdefault(row[0], row[1:]) == row[1:]
+            return n_i, n_child
+        counts = walk._node_counts
+        monkeypatch.setattr(walk, "_node_counts", recording)
+        # the second chunk: walk j's tree is keyed by j over all chunks
+        first = walk._WALK_CHUNK
+        walk._walk_chunks(c, 20, seed, [first], first + m)
+
+        tree_key = derive_seed(seed, "annealedtree", c)
+        met = []
+        for j in range(first, first + m):
+            ref = self.reference(c, child_key(tree_key, j), depth)
+            assert child_key(tree_key, j) in drawn  # the walk's root
+            met += [(ref[k] == v, v[0]) for k, v in drawn.items() if k in ref]
+        assert all(ok for ok, _ in met)
+        # the walks met many type-I nodes and bush roots of the references
+        assert sum(is_i for _, is_i in met) >= 2 * m
+        assert sum(not is_i for _, is_i in met) >= 1
 
 
 class TestDecayDiagnostic:
