@@ -238,10 +238,6 @@ def _validated_inputs(cmd: str, cfg: dict) -> dict:
 
 # --- worker pools ------------------------------------------------------------
 
-def _task_empirical_f(kw):
-    return spanning.empirical_f(**kw).to_dict()
-
-
 def _worker_count(cfg_workers) -> int:
     """--workers, else GWTREE_THREADS, else the CPU count; never more
     processes than CPUs."""
@@ -257,11 +253,6 @@ def _pool(workers: int):
     """The process pool of one command; one worker runs in this process."""
     return (ProcessPoolExecutor(max_workers=workers) if workers > 1
             else contextlib.nullcontext())
-
-
-def _parallel(task, kwargs_list, workers: int):
-    with _pool(min(workers, len(kwargs_list))) as ex:
-        return list((ex.map if ex else map)(task, kwargs_list))
 
 
 # --- command runners ---------------------------------------------------------
@@ -342,13 +333,14 @@ def _run_estimate_f(v):
 
 
 def _run_empirical_f(v):
-    tasks = [{"n": v["n"], "c": c, "reps": v["reps"],
-              "seed": derive_seed(v["seed"], "empirical_f", c)}
-             for c in v["c"]]
-    reps = _parallel(_task_empirical_f, tasks, v["workers"])
-    rows = [{"c": c, "n": v["n"], "reps": r["n_samples"], "value": r["value"],
-             "stderr": r["stderr"], "seed": r["seed"]}
-            for c, r in zip(v["c"], reps)]
+    cs, k = v["c"], len(v["c"])
+    seeds = [derive_seed(v["seed"], "empirical_f", c) for c in cs]
+    with _pool(min(v["workers"], k)) as ex:
+        reps = list((ex.map if ex else map)(spanning.empirical_f, [v["n"]] * k,
+                                            cs, [v["reps"]] * k, seeds))
+    rows = [{"c": c, "n": v["n"], "reps": r.n_samples, "value": r.value,
+             "stderr": r.stderr, "seed": r.seed}
+            for c, r in zip(cs, reps)]
     return rows, {}
 
 
@@ -365,14 +357,13 @@ def _run_decay(v):
 def _run_crosscheck(v):
     with _pool(v["workers"]) as ex:
         walk_rep = _walk_f(v, v["c"], ex)
-    span_rep = _task_empirical_f({"n": v["n"], "c": v["c"], "reps": v["reps"],
-                                  "seed": derive_seed(v["seed"], "empirical_f",
-                                                      v["c"])})
+    span_rep = spanning.empirical_f(v["n"], v["c"], v["reps"], derive_seed(
+        v["seed"], "empirical_f", v["c"]))
     rows = [{"c": v["c"], "walk_value": walk_rep.value,
              "walk_stderr": walk_rep.stderr,
-             "spanning_value": span_rep["value"],
-             "spanning_stderr": span_rep["stderr"],
-             "discrepancy": abs(walk_rep.value - span_rep["value"])}]
+             "spanning_value": span_rep.value,
+             "spanning_stderr": span_rep.stderr,
+             "discrepancy": abs(walk_rep.value - span_rep.value)}]
     return rows, {}
 
 

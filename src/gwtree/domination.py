@@ -209,6 +209,7 @@ def verify_tail_domination(lam: float, mu: float, beta: float | None = None,
 # quantile-coupled samplers
 
 
+@lru_cache(maxsize=64)
 def _dominated_cdf_pair(rate_lo: float, beta: float, rate_hi: float):
     """cdf tables for lo ~ Q*_rate_lo + Q_beta and hi ~ Q*_rate_hi, with the
     hi table clamped below the lo table so the shared-uniform quantile
@@ -232,7 +233,7 @@ def sample_dominated_offspring_many(lam: float, mu: float, n: int,
     the first is the single draw of the same seed."""
     cdf_lo, cdf_hi = _dominated_cdf_pair(lam, alpha(lam, mu), mu)
     u = substream(seed, "domoffspring", lam, mu).random(n)
-    return quantile(np.asarray(cdf_lo), u), quantile(np.asarray(cdf_hi), u)
+    return quantile(cdf_lo, u), quantile(cdf_hi, u)
 
 
 # ---------------------------------------------------------------------------

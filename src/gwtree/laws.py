@@ -64,7 +64,9 @@ def log_conv(lam: float, beta: float, k: int) -> float:
     """Q*_lam + Q_beta at k >= 1: e^-beta ((lam+beta)^k - beta^k) / ((e^lam - 1)
     k!); beta = 0 gives Q*_lam."""
     lp = -beta + k * math.log(lam + beta) - math.lgamma(k + 1) - log_expm1(lam)
-    return lp + math.log1p(-(beta / (lam + beta)) ** k) if beta else lp
+    # log(1 - (beta/(lam+beta))^k), still finite once beta/(lam+beta) is 1.0
+    return (lp + math.log(-math.expm1(k * math.log1p(-lam / (lam + beta))))
+            if beta else lp)
 
 
 def log_borel(lam: float, k: int) -> float:
@@ -113,11 +115,9 @@ def poisson_cdf(rate: float) -> tuple[float, ...]:
 def quantile(table, u):
     """Least k with P(X <= k) >= u for u in [0, 1): by bisection for a float
     u, and by np.searchsorted for an array u, through the table's guide once
-    u holds 1024 draws if the table is a tuple."""
+    u holds 1024 draws."""
     if isinstance(u, float):
         return bisect_left(table, u) + 1
-    if not isinstance(table, tuple):
-        return np.searchsorted(table, u, side="left") + 1
     arr, size, guide = _guided(table)
     if len(u) < _GUIDE_MIN:
         return np.searchsorted(arr, u, side="left") + 1

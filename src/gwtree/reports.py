@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -11,9 +10,7 @@ class EstimateReport:
     """Point estimate with its standard error and full reproducibility data.
 
     stderr is sample std / sqrt(n_samples) (NaN when n_samples < 2).
-    Reports are bit-exact functions of (parameters, seed); wall_time is the
-    only volatile field and is excluded from serialization by default so
-    that identical runs produce identical files.
+    Reports are plain values, bit-exact functions of (parameters, seed).
     """
 
     value: float
@@ -21,16 +18,3 @@ class EstimateReport:
     n_samples: int
     truncation: dict
     seed: int
-    wall_time: float
-
-    def to_dict(self, include_timing: bool = False) -> dict:
-        d = {
-            "value": self.value,
-            "stderr": None if math.isnan(self.stderr) else self.stderr,
-            "n_samples": self.n_samples,
-            "truncation": dict(self.truncation),
-            "seed": self.seed,
-        }
-        if include_timing:
-            d["wall_time"] = self.wall_time
-        return d

@@ -414,6 +414,9 @@ def tree_from_text(text: str) -> RootedTree:
     # raises ValueError unless every line reads 'id parent-id type N'
     ids, parent, chars, sizes = np.array(
         [line.split() for line in text.strip().splitlines()]).T
+    bad = set(chars.tolist()) - _CHAR_TYPE.keys()
+    if bad:
+        raise ValueError(f"unknown node type {min(bad)!r}, not U, I or F")
     ids, parent = ids.astype(np.int64), parent.astype(np.int64)
     v = np.arange(len(ids))
     if (ids != v).any() or ((parent < -1) | (parent >= v)).any():

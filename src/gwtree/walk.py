@@ -31,8 +31,7 @@ offspring counts.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -42,7 +41,7 @@ from .analytic import expected_log_degree, extinction_prob
 from .laws import quantile
 from .reports import EstimateReport
 from .rng import child_keys, derive_seed, node_uniforms, substream
-from .trees import TYPE_F, TYPE_I, RootedTree, _add, _star_tables
+from .trees import TYPE_F, TYPE_I, RootedTree, _star_tables
 
 __all__ = [
     "ReturnProfile",
@@ -154,10 +153,12 @@ def killed_walk_visits(t: RootedTree, s: float, seed: int,
     1-s per step.
 
     On a truncated tree the caller either supplies grow=c, in which case
-    a copy of the tree's lists is extended past its frontier with the
-    two-type law at c (one extension per walk, i.e. annealed semantics), or
-    the tree must be deep enough that the walk dies first with probability
-    >= 1 - 1e-6 (depth >= required_depth_for_killed_walk(s)).
+    the walk grows its own lists of the tree's parents and types past the
+    frontier with the two-type law at c (one extension per walk, i.e.
+    annealed semantics), or the tree must be deep enough that the walk dies
+    first with probability >= 1 - 1e-6 (depth >=
+    required_depth_for_killed_walk(s)).  A step draws survival, then the
+    counts of a node met the first time, then the move.
     """
     if not (0.0 < s < 1.0):
         raise ValueError(f"s must lie in (0, 1), got {s}")
@@ -172,31 +173,26 @@ def killed_walk_visits(t: RootedTree, s: float, seed: int,
         qcdf, fcdf = _star_tables(grow)
 
     rng = substream(seed, "killedwalk")
-    parent, n = t.parent, len(t)  # t's column, then lists[0]
-    lists = None  # a copy of t's lists, made when the walk first grows
+    parent, types = t.parent.tolist(), t.ntype.tolist()
     kids: dict = {}  # the children of each node the walk has met
-
-    def children(v: int):
-        nonlocal parent, lists
-        if v < n and not t.open_[v]:
-            # a walk meets few arena nodes: scanning parent beats a CSR
-            return np.flatnonzero(t.parent == v).tolist()
-        if grow is None:
-            raise RuntimeError("walk reached the frontier of a tree "
-                               "sampled without lazy growth")
-        if lists is None:
-            lists = tuple(a.tolist() for a in (t.parent, t.depth, t.ntype))
-            parent = lists[0]
-        n_i = quantile(qcdf, rng.random()) if lists[2][v] == TYPE_I else 0
-        w = _add(lists, v, n_i)
-        _add(lists, v, quantile(fcdf, rng.random()) - 1, TYPE_F)
-        return range(w, len(parent))
-
     cur, visits = t.root, 1
     while rng.random() < s:
-        if cur not in kids:
-            kids[cur] = children(cur)
-        ch = kids[cur]
+        ch = kids.get(cur)
+        if ch is None:
+            if cur < len(t) and not t.open_[cur]:
+                # a walk meets few arena nodes: scanning parent beats a CSR
+                ch = np.flatnonzero(t.parent == cur).tolist()
+            elif grow is None:
+                raise RuntimeError("walk reached the frontier of a tree "
+                                   "sampled without lazy growth")
+            else:
+                n_i = (quantile(qcdf, rng.random()) if types[cur] == TYPE_I
+                       else 0)
+                n = n_i + quantile(fcdf, rng.random()) - 1
+                ch = range(len(parent), len(parent) + n)
+                parent += [cur] * n
+                types += [TYPE_I] * n_i + [TYPE_F] * (n - n_i)
+            kids[cur] = ch
         step = int(rng.integers(len(ch) + (cur != t.root)))
         cur = ch[step] if step < len(ch) else parent[cur]
         if cur == t.root:
@@ -294,15 +290,13 @@ def estimate_return_integral(c: float, K: int, n_samples: int, seed: int,
     sum_{k<=K} E[p_k]/k under the survival-conditioned tree at parameter c.
     An executor walks the chunks in up to `workers` runs; same result."""
     _validate_estimator_args(c, K, n_samples)
-    t0 = time.perf_counter()
     walks, _ = _annealed_return_walks(c, K, n_samples, seed, executor, workers)
     return EstimateReport(
         value=float(walks.mean()),
         stderr=float(walks.std(ddof=1) / math.sqrt(n_samples)),
         n_samples=n_samples,
         truncation={"K": K, "depth": K // 2 + 1},
-        seed=seed,
-        wall_time=time.perf_counter() - t0)
+        seed=seed)
 
 
 def estimate_f(c: float, K: int, n_samples: int, seed: int,
@@ -311,17 +305,9 @@ def estimate_f(c: float, K: int, n_samples: int, seed: int,
     Carlo return integral.  All sampling variance sits in the walk part;
     truncating at K can only push the estimate up (dropped terms are
     nonnegative)."""
-    _validate_estimator_args(c, K, n_samples)
-    t0 = time.perf_counter()
-    eld = expected_log_degree(extinction_prob(c))
     ret = estimate_return_integral(c, K, n_samples, seed, executor, workers)
-    return EstimateReport(
-        value=eld - ret.value,
-        stderr=ret.stderr,
-        n_samples=n_samples,
-        truncation=ret.truncation,
-        seed=seed,
-        wall_time=time.perf_counter() - t0)
+    eld = expected_log_degree(extinction_prob(c))
+    return replace(ret, value=eld - ret.value)
 
 
 def pbar_decay_diagnostic(c: float, K: int, n_samples: int, seed: int,

@@ -316,6 +316,19 @@ class TestCouple:
         assert all(r["le1_ok"] and r["embedding_ok"] for r in doc["results"])
         assert_complete(doc, int(depth))
 
+    @pytest.mark.parametrize("lam, mu", [("1.5", "1e300"), ("1.02", "1e16"),
+                                         ("1.0000000001", "1e8")])
+    def test_mu_far_above_lambda(self, tmp_path, capsys, lam, mu):
+        # beta/(lambda + beta) rounds to 1.0 in the lambda side's table, whose
+        # log(1 - (beta/(lambda + beta))^k) must stay finite
+        rc, out = run(tmp_path, "cpl.json",
+                      ["couple", "--lambda", lam, "--mu", mu])
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("gwtree: error: lam/mu:") and "200000" in err
+        assert err.count("\n") == 1
+
     def test_extinction_underflow_at_mu(self, tmp_path):
         # q(mu) is about e^{-400} = 1.9e-174 here, so the hi side almost
         # surely has no finite bushes
@@ -428,6 +441,16 @@ class TestOtherCommands:
         row = json.loads(out.read_text())["results"][0]
         assert 0.0 < row["value"] < 1.0
 
+    def test_empirical_f_tree_giants(self, tmp_path):
+        # one giant here is a tree, whose one spanning tree gives log tau 0
+        # exactly, not a roundoff of either sign
+        rc, out = run(tmp_path, "e.json",
+                      ["empirical-f", "--c", "1.02", "--n", "30", "--reps",
+                       "2", "--seed", "0", "--workers", "1"])
+        assert rc == 0
+        row = json.loads(out.read_text())["results"][0]
+        assert row["value"] >= 0.0
+
     def test_crosscheck(self, tmp_path):
         _, out = run(tmp_path, "x.json",
                      ["crosscheck", "--c", "3", "--n", "400", "--reps", "2",
@@ -504,3 +527,26 @@ class TestFuzz:
                               for k, v in values.items())
             by_file = _outcome([cmd, "--workers", "1", "--config", path])
         assert _outcome(by_flag) == by_file, by_flag
+
+
+_EXTREME_C = ("1.0000000001", "1.02", "1e16", "1e300")
+_SMALLEST = {"K": "20", "samples": "2", "n": "30", "reps": "2", "depth": "1"}
+
+
+def test_extreme_values_exit_0_or_2():
+    # each command at the c and (lambda, mu) edges, at its smallest sizes
+    runs = []
+    for cmd, spec in sorted(cli._COMMANDS.items()):
+        sizes = [arg for key, val in _SMALLEST.items() if key in spec.fields
+                 for arg in (f"--{key}", val)]
+        if cmd == "couple":
+            sizes[sizes.index("--samples") + 1] = "1"
+            runs += [[cmd, "--lambda", lam, "--mu", mu, *sizes]
+                     for i, lam in enumerate(_EXTREME_C)
+                     for mu in _EXTREME_C[i + 1:]]
+        elif "c" in spec.fields:
+            runs += [[cmd, "--c", c, "--seed", seed, *sizes]
+                     for c in _EXTREME_C for seed in ("0", "53")]
+    assert len(runs) == 62
+    for argv in runs:
+        _outcome(argv + ["--workers", "1"])

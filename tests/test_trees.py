@@ -362,6 +362,10 @@ class TestSerialization:
         assert back.parent.tolist() == t.parent.tolist()
         assert back.ntype.tolist() == t.ntype.tolist()
 
+    def test_unknown_type_letter(self):
+        with pytest.raises(ValueError, match="'X'"):
+            tree_from_text("0 -1 X inf\n")
+
     def test_format_fields(self):
         t = make_path(2)
         lines = tree_to_text(t).strip().splitlines()
