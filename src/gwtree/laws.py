@@ -64,8 +64,8 @@ def log_conv(lam: float, beta: float, k: int) -> float:
     """Q*_lam + Q_beta at k >= 1: e^-beta ((lam+beta)^k - beta^k) / ((e^lam - 1)
     k!); beta = 0 gives Q*_lam."""
     lp = -beta + k * math.log(lam + beta) - math.lgamma(k + 1) - log_expm1(lam)
-    # log(1 - (beta/(lam+beta))^k), still finite once beta/(lam+beta) is 1.0
-    return (lp + math.log(-math.expm1(k * math.log1p(-lam / (lam + beta))))
+    # log(1 - (beta/(lam+beta))^k), finite for beta far below or above lam
+    return (lp + math.log(-math.expm1(-k * math.log1p(lam / beta)))
             if beta else lp)
 
 

@@ -17,7 +17,7 @@ from gwtree import (TYPE_F, TYPE_I, alpha, check_le1, conv_pmf, degree_pmf,
                     subtree_stats, verify_tail_domination)
 from gwtree import trees
 from gwtree.domination import TailReport, _CoupledSampler
-from gwtree.laws import poisson_cdf
+from gwtree.laws import log_conv, poisson_cdf
 from gwtree.rng import derive_seed
 from gwtree.trees import RootedTree, _bush
 
@@ -44,6 +44,13 @@ class TestConvPmf:
             want = 1.3**k / ((math.e**1.3 - 1) * math.factorial(k))
             assert conv_pmf(1.3, 0.0, k) == pytest.approx(want, rel=1e-12)
             assert positive_poisson_pmf(1.3, k) == conv_pmf(1.3, 0.0, k)
+
+    def test_beta_far_from_lambda(self):
+        # lam + beta rounds to lam below, and to beta above
+        for k in range(1, 6):
+            assert conv_pmf(1.5, 1e-17, k) == pytest.approx(
+                positive_poisson_pmf(1.5, k), rel=1e-12)
+            assert math.isfinite(log_conv(1.5, 1e300, k))
 
     def test_normalization(self):
         total = sum(conv_pmf(1.3, 0.4, k) for k in range(1, 120))
