@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from gwtree import (TYPE_F, TYPE_I, RootedTree, sample_pgw, sample_pgw_star,
                     sample_uniform_rooted_tree, subtree_stats, tree_from_text,
-                    tree_to_text)
-from gwtree.domination import sample_coupled_trees
+                    tree_to_text, trees)
+from gwtree.domination import OffspringCouple, sample_coupled_trees
 
 
 def reference_violation(parent, depth, ntype, open_, children, size):
@@ -202,3 +202,33 @@ class TestSamplersPinned:
         lazy = (tree_digest(pair.lo), tree_digest(pair.hi),
                 digest(sorted(pair.node_map.items())))
         assert lazy + (tree_digest(pair.complete().hi),) == want
+
+    def test_pgw_star_bush_resamples(self, monkeypatch):
+        # a cap of 2 nodes discards about half the Poisson(1) bushes, so the
+        # resampled bushes draw on from where the discarded ones stopped
+        monkeypatch.setattr(trees, "BUSH_NODE_CAP", 2)
+        t = sample_pgw_star(1.0, 20, seed=8)
+        assert (len(t), t.bush_resamples, tree_digest(t)) == (
+            55, 15, "cd4f2d4d51920c10")
+
+    @pytest.mark.parametrize("lam, mu, depth, seed, cap, want", [
+        # near lam = 1 a lam bush passes a cap of 2 nodes often
+        (1.01, 1.5, 3, 5, 2, (
+            (6, 7, 1), ("fc74e9a1675ebb78", "2645d501a160d79a",
+                        "934c5a9fbff8d24c", "2645d501a160d79a"),
+            OffspringCouple({}, {}, 1, 1))),
+        # a near-critical pair of 150 + 150 nodes, its bushes all shared
+        (1.005, 1.01, 3, 1, trees.BUSH_NODE_CAP, (
+            (150, 150, 0), ("fc6966bdd51281a5", "fc6966bdd51281a5",
+                            "c90135d7f502deb1", "fc6966bdd51281a5"),
+            OffspringCouple({2: 1}, {2: 1}, 1, 1)))])
+    def test_coupled_off_the_common_path(self, monkeypatch, lam, mu, depth,
+                                         seed, cap, want):
+        monkeypatch.setattr(trees, "BUSH_NODE_CAP", cap)
+        pair = sample_coupled_trees(lam, mu, depth, seed)
+        sizes = (len(pair.lo), len(pair.hi), pair.lo.bush_resamples)
+        lazy = (tree_digest(pair.lo), tree_digest(pair.hi),
+                digest(sorted(pair.node_map.items())))
+        got = (sizes, lazy + (tree_digest(pair.complete().hi),),
+               pair.root_couple)
+        assert got == want

@@ -1,6 +1,7 @@
 """CLI driver: validation, formats, reproducibility of output files."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -189,6 +190,14 @@ class TestReproducibility:
         _, out1 = run(tmp_path, "w1.json", base + ["--workers", "1"])
         _, out2 = run(tmp_path, "w2.json", base + ["--workers", "2"])
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_couple_stdout_pinned(self, capsys):
+        # eight pairs at (1.2, 1.5), depth 6, audited and printed in full
+        assert main(["couple", "--lambda", "1.2", "--mu", "1.5",
+                     "--seed", "0"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == (
+            "8d7ceddc75dbb8f90171df68d720a08e63813294d54510dd46c4c7f10d4af740")
 
     def test_config_embedded(self, tmp_path):
         _, out = run(tmp_path, "r.json",

@@ -374,6 +374,14 @@ class TestAnnealedEnginePinned:
             for key, pin in self.PINS.items():
                 assert self.digests(*key, executor=ex) == pin, key
 
+    def test_long_horizon(self):
+        # K = 60, two chunks: walks deep in their trees by the second half
+        per_sample, hits = _annealed_return_walks(3, 60, 10000, 4)
+        assert tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                     for a in (per_sample, hits)) == (
+            "63b9f818626c27e92f71a6a835f34c649c97416db9b17682f1cf86d22092e218",
+            "5e8541c1195e5b9c014c811e55b11a2c55cc9cb511794fcc1af456aa10eb2dee")
+
 
 class TestPathKeyedTrees:
     """The engine walks _grow_star's trees: the counts it draws for a key are
