@@ -61,13 +61,13 @@ resampled for passing trees.BUSH_NODE_CAP.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, zip_longest
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .analytic import alpha, extinction_prob
 from .laws import (cdf_table, log_conv, poisson_cdf, positive_poisson_cdf,
@@ -169,6 +169,9 @@ def verify_tail_domination(lam: float, mu: float, beta: float | None = None,
         raise ValueError(f"requires mu > lam > 0, got lam={lam}, mu={mu}")
     if kmax < 50:
         raise ValueError(f"kmax must be >= 50, got {kmax}")
+    # imported here, as nothing else needs mpmath: importing it takes about
+    # 35 ms, which every process importing gwtree would pay
+    from mpmath import mp, mpf
     with mp.workdps(dps):
         lam_, mu_ = mpf(lam), mpf(mu)
         if beta is None:
@@ -361,44 +364,52 @@ class _CoupledSampler:
             iter(lambda: rng.random(256).tolist(), None)).__next__
         # arena lists (parent, depth, ntype), each from the root
         lo, hi = ([-1], [0], [TYPE_I]), ([-1], [0], [TYPE_I])
+        lo_parent, lo_depth = lo[0], lo[1]
         node_map = {0: 0}
         root_couple = None
         resamples = 0
         stack = [(0, 0)]
+        qcdf, fcdf, vcdf, d = self.qcdf, self.fcdf, self.vcdf, self.d
+        leaf = fcdf[0]  # a bush root drawing at most this has no child
         while stack:
             u, v = stack.pop()
-            a = quantile(self.qcdf, draw())
-            n_f = quantile(self.fcdf, draw()) - 1
+            a = bisect_left(qcdf, draw()) + 1
+            n_f = bisect_left(fcdf, draw())
             cu = _add(lo, u, a)
-            _add(lo, u, n_f, TYPE_F)
             shared, extra = [], []  # (root, interior from, interior to)
-            for b in range(cu + a, cu + a + n_f):
-                w = len(lo[0])
-                resamples += _bush(lo, b, self.fcdf, draw)
-                e = len(lo[0])
-                mark = draw() < math.exp((1 + e - w) * self.d)
-                (shared if mark else extra).append((b, w, e))
-            s = a + len(extra) + quantile(self.vcdf, draw()) - 1
+            if n_f:
+                _add(lo, u, n_f, TYPE_F)
+                for b in range(cu + a, cu + a + n_f):
+                    w = len(lo_parent)
+                    x = draw()
+                    if x > leaf:
+                        resamples += _bush(lo, b, fcdf, draw, x)
+                    e = len(lo_parent)
+                    mark = draw() < math.exp((1 + e - w) * d)
+                    (shared if mark else extra).append((b, w, e))
+            s = a + len(extra) + bisect_left(vcdf, draw())
             h = self._h(s, draw())
             # a matched children, the images of the extra roots, then the
             # spare ones, left open
             cv = _add(hi, v, h)
             pairs = list(zip(range(cu, cu + a), range(cv, cv + a)))
             node_map.update(pairs)
-            if lo[1][u] < depth:  # else the children stay open stubs
+            if lo_depth[u] < depth:  # else the children stay open stubs
                 stack.extend(pairs)
-            node_map.update((b, cv + a + j) for j, (b, _, _) in
-                            enumerate(extra))
+            if extra:
+                node_map.update((b, cv + a + j) for j, (b, _, _) in
+                                enumerate(extra))
             # the shared bushes, copied node for node
-            bv = _add(hi, v, len(shared), TYPE_F)
+            bv = _add(hi, v, len(shared), TYPE_F) if shared else 0
             for b, w, e in shared:
                 node_map[b] = bv
-                shift = len(hi[0]) - w
-                node_map.update((x, x + shift) for x in range(w, e))
-                hi[0].extend([bv if p == b else p + shift
-                              for p in lo[0][w:e]])
-                hi[1].extend(lo[1][w:e])
-                hi[2].extend(lo[2][w:e])
+                if e > w:
+                    shift = len(hi[0]) - w
+                    node_map.update((x, x + shift) for x in range(w, e))
+                    hi[0].extend([bv if p == b else p + shift
+                                  for p in lo_parent[w:e]])
+                    hi[1].extend(lo_depth[w:e])
+                    hi[2].extend(lo[2][w:e])
                 bv += 1
             if u == 0:
                 root_couple = OffspringCouple(
@@ -415,7 +426,8 @@ class _CoupledSampler:
         rounding closes that interval or s is past the end of the table."""
         end = len(self.cdf_s) - 1
         below, at = self.cdf_s[min(s - 1, end)], self.cdf_s[min(s, end)]
-        return max(s, quantile(self.cdf_h, below + (1.0 - unif) * (at - below)))
+        return max(s, bisect_left(self.cdf_h,
+                                  below + (1.0 - unif) * (at - below)) + 1)
 
 
 @lru_cache(maxsize=16)

@@ -3,7 +3,9 @@
 Q_r is Poisson(r) and Q*_r is Poisson(r) conditioned positive.  This is
 the only implementation of these laws, and no sampler calls numpy's: every
 offspring count draws from one by building its cdf table once (cdf_table,
-cached by law and parameters) and inverting it per draw (quantile).
+cached by law and parameters) and inverting it per draw (quantile; the
+node-by-node tree builders call its scalar step, bisect_left on the table
+plus 1, themselves).
 
 A table inverts a large array of draws through its guide table (Chen &
 Asau, 1974), built on first use and cached by the table's identity: L >=

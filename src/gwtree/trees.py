@@ -36,13 +36,17 @@ Poisson table at one uniform vector per level from its substream.
 
 Every tree is one RootedTree arena of per-node numpy arrays; children are
 derived from parent once per tree.  Node-by-node samplers build the lists
-(parent, depth, ntype) by appending, mostly with _add, and _arena converts
-them.
+(parent, depth, ntype) by appending, each nonempty block of siblings with
+_add, and _arena converts them.  Scalar draws invert a table with
+bisect_left directly.  The caller of _bush draws the bush root's first
+uniform itself: at most fcdf[0], the root has no child, and nothing more is
+called or drawn for it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Sequence
 from functools import lru_cache
@@ -254,32 +258,44 @@ def _add(t: tuple, p: int, n: int, ntype: int = TYPE_I) -> int:
 def _arena(t: tuple, bush_resamples: int = 0) -> RootedTree:
     """The RootedTree of the arena lists t; its childless type-I nodes are
     the open ones (an expanded type-I node has a type-I child)."""
-    tree = RootedTree(*t, np.zeros(len(t[0]), bool))
-    tree.open_[tree.ntype == TYPE_I] = True
-    tree.open_[tree.parent[1:]] = False
+    parent, depth, types = t
+    p = np.fromiter(parent, np.int64, len(parent))
+    a = np.fromiter(types, np.int8, len(types))
+    open_ = a == TYPE_I
+    open_[p[1:]] = False
+    tree = RootedTree(p, depth, a, open_)
     tree.bush_resamples = bush_resamples
     return tree
 
 
-def _bush(t: tuple, b: int, fcdf, draw) -> int:
+def _bush(t: tuple, b: int, fcdf, draw, u: float | None = None) -> int:
     """Sample the type-F subtree below node b of the arena lists t in full
     (a.s. finite: its Poisson rate is at most 1), depth first, each node's
-    child count the quantile of fcdf at the next draw().  An attempt that
-    passes BUSH_NODE_CAP nodes is discarded and counted, and the next one
-    draws on; returns the number discarded."""
+    child count the quantile of fcdf at its draw: u for b when given, else
+    the next draw(), and the next draw() for each later node.  A caller
+    holding b's first draw passes it as u, and skips the call when u is at
+    most fcdf[0] (b then has no child).  An attempt that passes
+    BUSH_NODE_CAP nodes is discarded and counted, and the next one draws on
+    from draw(), its root too; returns the number discarded."""
+    if u is None:
+        u = draw()
     keep = len(t[0])
     for attempt in range(64):
-        stack = [b]
-        while stack and len(t[0]) - keep <= BUSH_NODE_CAP:
-            x = stack.pop()
-            n = quantile(fcdf, draw()) - 1
+        x, stack = b, []
+        while True:
+            n = bisect_left(fcdf, u)
             if n:
                 w = _add(t, x, n, TYPE_F)
                 stack.extend(range(w, w + n))
+            if not stack or len(t[0]) - keep > BUSH_NODE_CAP:
+                break
+            x = stack.pop()
+            u = draw()
         if len(t[0]) - keep <= BUSH_NODE_CAP:
             return attempt
         for arr in t:
             del arr[keep:]
+        u = draw()
     raise ArithmeticError("bush sampling exceeded the node cap 64 times")
 
 
@@ -292,17 +308,22 @@ def _grow_star(t: tuple, v: int, depth: int, key: int, c: float) -> int:
     child_key(key_x, j), 0), (..., 1), ... in turn.  Returns the number of
     bushes resampled for passing BUSH_NODE_CAP."""
     qcdf, fcdf = _star_tables(c)
+    leaf = fcdf[0]  # a bush root drawing at most this has no child
     resamples = 0
     stack = [(v, key)]  # (type-I node, key)
     while stack:
         x, key = stack.pop()
-        n_i = quantile(qcdf, node_uniform(key, 0))
-        n_f = quantile(fcdf, node_uniform(key, 1)) - 1
+        n_i = bisect_left(qcdf, node_uniform(key, 0)) + 1
+        n_f = bisect_left(fcdf, node_uniform(key, 1))
         w = _add(t, x, n_i)
-        _add(t, x, n_f, TYPE_F)
+        if n_f:
+            _add(t, x, n_f, TYPE_F)
         for j in range(n_i, n_i + n_f):
-            draws = map(node_uniform, repeat(child_key(key, j)), count())
-            resamples += _bush(t, w + j, fcdf, draws.__next__)
+            bkey = child_key(key, j)
+            u = node_uniform(bkey, 0)
+            if u > leaf:
+                draws = map(node_uniform, repeat(bkey), count(1))
+                resamples += _bush(t, w + j, fcdf, draws.__next__, u)
         if t[1][x] < depth:
             stack.extend((w + i, child_key(key, i)) for i in range(n_i))
     return resamples

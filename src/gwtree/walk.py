@@ -21,10 +21,12 @@ estimand with variance read off the sample.  The trees are path keyed, as
 sample_pgw_star's are: a node's child counts are a function of its key,
 drawn afresh each time the walk enters it, so no tree is ever stored.  A
 walk holds only the keys and counts of the nodes on its path from the root,
-one stack level per depth, whatever c is.  Walks go in chunks of 8192, each
-drawing its step choices from its own substream; an executor walks up to
-`workers` runs of consecutive chunks at once, so the output does not depend
-on the pool.  Both walk engines invert the laws module's tables for all
+one stack level per depth, whatever c is.  From step K/2 on, every fourth
+step retires the walks too deep to be back at the root by step K: they add
+nothing more, and their step draws are still taken, so those of the others
+do not move.  Walks go in chunks of 8192, each drawing its step choices
+from its own substream; an executor walks up to `workers` runs of
+consecutive chunks at once, so the output does not depend on the pool.  Both walk engines invert the laws module's tables for all
 offspring counts.
 """
 
@@ -35,7 +37,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .analytic import expected_log_degree, extinction_prob
 from .laws import quantile
@@ -86,8 +87,8 @@ class DecayDiagnostic:
 
 
 def return_probs(t: RootedTree, K: int) -> ReturnProfile:
-    """Exact p_k for k = 1..K by dense iteration of the walk's transition
-    operator on the depth-restricted vertex set."""
+    """Exact p_k for k = 1..K by iterating the walk's transition operator,
+    as a list of edge weights, on the depth-restricted vertex set."""
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
     dmax = (K + 1) // 2
@@ -105,15 +106,19 @@ def return_probs(t: RootedTree, K: int) -> ReturnProfile:
     src, dst = np.r_[kids, t.parent[kids]], np.r_[t.parent[kids], kids]
     deg = (np.bincount(t.parent[t.parent >= 0], minlength=n)
            + (np.arange(n) != t.root))
-    P = csr_matrix((1.0 / deg[src], (idx[src], idx[dst])),
-                   shape=(len(nodes), len(nodes)))
-    Pt = P.T.tocsr()
+    # P^T's entries (row, column, weight): the walk moves src -> dst with
+    # probability 1/deg[src].  Sorted by row, then column, bincount sums each
+    # row in the order of a CSR product, so the sums match it bit for bit.
+    rows, cols = idx[dst], idx[src]
+    order = np.lexsort((cols, rows))
+    rows, cols, weight = rows[order], cols[order], 1.0 / deg[src][order]
     vec = np.zeros(len(nodes))
     root_i = idx[t.root]
     vec[root_i] = 1.0
     probs = np.zeros(K)
     for k in range(1, K + 1):
-        vec = Pt @ vec
+        vec = np.bincount(rows, weights=weight * vec[cols],
+                          minlength=len(nodes))
         probs[k - 1] = vec[root_i]
     exact_upto = K if math.isinf(spec_d) else min(K, 2 * int(spec_d))
     return ReturnProfile(probs=probs, K=K, exact_upto=exact_upto)
@@ -225,7 +230,8 @@ def _walk_chunks(c: float, K: int, seed: int, starts, n_samples: int):
     key, type-I count and child count of its node at depth d.  A step up
     pops a level; a step down to child i hashes child_key(key, i), draws
     that child's counts and pushes them (child i is type I if i is below the
-    type-I count).  The step choices alone come from the chunk's substream.
+    type-I count).  The step choices alone come from the chunk's substream,
+    one draw per walk and step, retired walks included.
     """
     qcdf, fcdf = _star_tables(c)
     tree_key = derive_seed(seed, "annealedtree", c)
@@ -234,8 +240,8 @@ def _walk_chunks(c: float, K: int, seed: int, starts, n_samples: int):
     hits = np.zeros(K + 1, dtype=np.int64)
     # the stacks of a chunk's m walks: level d of walk w at slot d * m + w
     keys = np.empty((K + 1) * max(sizes), np.uint64)
-    n_i = np.empty(len(keys), np.int64)
-    n_child = np.empty(len(keys), np.int64)
+    n_i = np.empty(len(keys), np.int32)
+    n_child = np.empty(len(keys), np.int32)
     for start, m in zip(starts, sizes):
         # one substream per chunk: walks are then identical across runs with
         # different K, so K-truncated estimates are monotone per seed
@@ -243,14 +249,20 @@ def _walk_chunks(c: float, K: int, seed: int, starts, n_samples: int):
         keys[:m] = child_keys(tree_key, np.arange(start, start + m))
         n_i[:m], n_child[:m] = _node_counts(keys[:m], np.ones(m, bool), qcdf,
                                             fcdf)
-        slot = np.arange(m)  # each walk's slot: its depth times m, plus w
+        ids = np.arange(m)  # the walks that can still return, ascending
+        slot = ids.copy()  # each walk's slot: its depth times m, plus w
         acc = per_sample[start - starts[0]:start - starts[0] + m]
 
         for k in range(1, K + 1):
+            if k >= K // 2 and k % 4 == 0:
+                # a walk at depth d is back at step k - 1 + d at the soonest
+                back = slot < (K - k + 2) * m
+                ids, slot = ids[back], slot[back]
+            u = rng.random(m)[ids]  # every walk's draw, so none moves
             kids = n_child[slot]
             deg = kids + (slot >= m)  # a non-root node has its parent too
             # r < deg: a double u < 1 times an integer rounds below it
-            r = (rng.random(m) * deg).astype(np.int64)
+            r = (u * deg).astype(np.int64)
             down = np.flatnonzero(r < kids)
             top, i = slot[down], r[down]
             slot -= m  # every walk pops a level, and those stepping down
@@ -261,7 +273,7 @@ def _walk_chunks(c: float, K: int, seed: int, starts, n_samples: int):
                                                   fcdf)
             at_root = slot < m
             if k % 2 == 0:
-                np.add(acc, 1.0 / k, out=acc, where=at_root)
+                acc[ids[at_root]] += 1.0 / k
             hits[k] += np.count_nonzero(at_root)
     return per_sample, hits
 

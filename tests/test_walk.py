@@ -6,13 +6,15 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.stats import poisson
 
 from gwtree import (EstimateReport, estimate_f, estimate_return_integral,
                     expected_log_degree, extinction_prob, green_truncation_bound,
                     green_value, killed_walk_visits, pbar_decay_diagnostic,
                     required_depth_for_killed_walk, return_probs, return_sum,
-                    sample_coupled_trees, sample_pgw_star)
+                    sample_coupled_trees, sample_pgw, sample_pgw_star,
+                    sample_uniform_rooted_tree)
 from gwtree import laws, trees, walk
 from gwtree.rng import child_key, derive_seed
 from gwtree.trees import RootedTree
@@ -77,6 +79,27 @@ def transition_matrix(t):
     return P
 
 
+def sparse_return_probs(t, K):
+    """Reference: p_1..p_K by K products of the transposed transition
+    matrix, restricted to depth ceil(K/2), in scipy's CSR format."""
+    nodes = np.flatnonzero(t.depth <= (K + 1) // 2)
+    idx = np.full(len(t), -1)
+    idx[nodes] = np.arange(len(nodes))
+    kids = nodes[nodes != t.root]
+    src, dst = np.r_[kids, t.parent[kids]], np.r_[t.parent[kids], kids]
+    deg = np.array([t.degree(v) for v in range(len(t))])
+    P = csr_matrix((1.0 / deg[src], (idx[src], idx[dst])),
+                   shape=(len(nodes), len(nodes)))
+    Pt = P.T.tocsr()
+    vec = np.zeros(len(nodes))
+    vec[idx[t.root]] = 1.0
+    probs = []
+    for _ in range(K):
+        vec = Pt @ vec
+        probs.append(vec[idx[t.root]])
+    return np.array(probs)
+
+
 class TestReturnProbs:
     def test_single_edge(self):
         prof = return_probs(single_edge(), 8)
@@ -111,6 +134,20 @@ class TestReturnProbs:
             for k in range(1, 7):
                 vec = vec @ P
                 assert probs[k - 1] == pytest.approx(vec[0], abs=1e-12), (i, k)
+
+    def test_bit_identical_to_sparse_product(self):
+        # each step sums a vertex's incoming mass in the order of a CSR
+        # product, so the two agree to the last bit
+        trees_k = [(sample_pgw_star(c, 4, derive_seed(2, c, i)), 8)
+                   for c in (2.0, 3.5) for i in range(20)]
+        trees_k += [(sample_uniform_rooted_tree(300, derive_seed(3, i)), 20)
+                    for i in range(20)]
+        trees_k += [(sample_pgw(1.5, 3000, derive_seed(4, i)), 20)
+                    for i in range(20)]
+        for t, K in trees_k:
+            if t.specified_depth() >= (K + 1) // 2:
+                assert np.array_equal(return_probs(t, K).probs,
+                                      sparse_return_probs(t, K))
 
     def test_odd_parity_zero(self):
         for i in range(50):
