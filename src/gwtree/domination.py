@@ -364,7 +364,7 @@ class _CoupledSampler:
             iter(lambda: rng.random(256).tolist(), None)).__next__
         # arena lists (parent, depth, ntype), each from the root
         lo, hi = ([-1], [0], [TYPE_I]), ([-1], [0], [TYPE_I])
-        lo_parent, lo_depth = lo[0], lo[1]
+        lo_parent, lo_depth, lo_types = lo
         node_map = {0: 0}
         root_couple = None
         resamples = 0
@@ -399,18 +399,18 @@ class _CoupledSampler:
             if extra:
                 node_map.update((b, cv + a + j) for j, (b, _, _) in
                                 enumerate(extra))
-            # the shared bushes, copied node for node
-            bv = _add(hi, v, len(shared), TYPE_F) if shared else 0
-            for b, w, e in shared:
-                node_map[b] = bv
-                if e > w:
-                    shift = len(hi[0]) - w
-                    node_map.update((x, x + shift) for x in range(w, e))
-                    hi[0].extend([bv if p == b else p + shift
-                                  for p in lo_parent[w:e]])
-                    hi[1].extend(lo_depth[w:e])
-                    hi[2].extend(lo[2][w:e])
-                bv += 1
+            if shared:  # copied node for node
+                bv = _add(hi, v, len(shared), TYPE_F)
+                for b, w, e in shared:
+                    node_map[b] = bv
+                    if e > w:
+                        shift = len(hi[0]) - w
+                        node_map.update((x, x + shift) for x in range(w, e))
+                        hi[0].extend([bv if p == b else p + shift
+                                      for p in lo_parent[w:e]])
+                        hi[1].extend(lo_depth[w:e])
+                        hi[2].extend(lo_types[w:e])
+                    bv += 1
             if u == 0:
                 root_couple = OffspringCouple(
                     n_fin_lo=dict(Counter(1 + e - w for _, w, e in

@@ -26,8 +26,8 @@ step retires the walks too deep to be back at the root by step K: they add
 nothing more, and their step draws are still taken, so those of the others
 do not move.  Walks go in chunks of 8192, each drawing its step choices
 from its own substream; an executor walks up to `workers` runs of
-consecutive chunks at once, so the output does not depend on the pool.  Both walk engines invert the laws module's tables for all
-offspring counts.
+consecutive chunks at once, so the output does not depend on the pool.
+Both walk engines invert the laws module's tables for all offspring counts.
 """
 
 from __future__ import annotations
