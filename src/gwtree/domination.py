@@ -392,20 +392,21 @@ class _CoupledSampler:
             # a matched children, the images of the extra roots, then the
             # spare ones, left open
             cv = _add(hi, v, h)
-            pairs = list(zip(range(cu, cu + a), range(cv, cv + a)))
-            node_map.update(pairs)
-            if lo_depth[u] < depth:  # else the children stay open stubs
-                stack.extend(pairs)
-            if extra:
-                node_map.update((b, cv + a + j) for j, (b, _, _) in
-                                enumerate(extra))
+            deeper = lo_depth[u] < depth  # else the children stay open stubs
+            for i in range(a):
+                node_map[cu + i] = cv + i
+                if deeper:
+                    stack.append((cu + i, cv + i))
+            for image, (b, _, _) in enumerate(extra, cv + a):
+                node_map[b] = image
             if shared:  # copied node for node
                 bv = _add(hi, v, len(shared), TYPE_F)
                 for b, w, e in shared:
                     node_map[b] = bv
                     if e > w:
                         shift = len(hi[0]) - w
-                        node_map.update((x, x + shift) for x in range(w, e))
+                        node_map.update(zip(range(w, e),
+                                            range(w + shift, e + shift)))
                         hi[0].extend([bv if p == b else p + shift
                                       for p in lo_parent[w:e]])
                         hi[1].extend(lo_depth[w:e])
@@ -424,10 +425,13 @@ class _CoupledSampler:
         """The hi type-I count coupled to S = s: the hi table's quantile at
         F_S(s - 1) + (1 - unif) (F_S(s) - F_S(s - 1)), at least s even where
         rounding closes that interval or s is past the end of the table."""
-        end = len(self.cdf_s) - 1
-        below, at = self.cdf_s[min(s - 1, end)], self.cdf_s[min(s, end)]
-        return max(s, bisect_left(self.cdf_h,
-                                  below + (1.0 - unif) * (at - below)) + 1)
+        cdf_s = self.cdf_s
+        if s < len(cdf_s):
+            below, at = cdf_s[s - 1], cdf_s[s]
+        else:
+            below = at = cdf_s[-1]
+        k = bisect_left(self.cdf_h, below + (1.0 - unif) * (at - below)) + 1
+        return k if k > s else s
 
 
 @lru_cache(maxsize=16)
