@@ -1,6 +1,7 @@
 """Tree samplers: size laws, two-type structure, uniform trees, statistics."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,6 +25,11 @@ def make_path(n):
     for v in range(1, n):
         t.add_node(v - 1, open_=False)
     return t
+
+
+def shape(t, v=0):
+    """Canonical unordered shape below v: its children's shapes, sorted."""
+    return "(" + "".join(sorted(shape(t, w) for w in t.children[v])) + ")"
 
 
 def reference_pgw(c, node_cap, seed):
@@ -326,6 +332,23 @@ class TestUniformRootedTree:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             sample_uniform_rooted_tree(0, 0)
+
+    @pytest.mark.parametrize("n, want", [
+        (4, {"(((())))": 24, "((())())": 24, "((()()))": 12, "(()()())": 4}),
+        (5, {"((((()))))": 120, "(((()))())": 120, "(((())()))": 120,
+             "((())()())": 60, "((()())())": 60, "(((()())))": 60,
+             "((())(()))": 60, "((()()()))": 20, "(()()()())": 5})])
+    def test_shape_law(self, n, want):
+        # labels dropped, each unordered shape has the probability of its
+        # rooted labelings among all n^(n-1) rooted labeled trees
+        draws = 40_000
+        got = Counter(
+            shape(sample_uniform_rooted_tree(n, derive_seed(12, n, i)))
+            for i in range(draws))
+        assert got.keys() <= want.keys()
+        expect = {s: k * draws / n ** (n - 1) for s, k in want.items()}
+        stat = sum((got[s] - e) ** 2 / e for s, e in expect.items())
+        assert chi2.sf(stat, len(want) - 1) >= 1e-4, got
 
 
 class TestSubtreeStats:
