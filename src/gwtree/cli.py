@@ -335,6 +335,9 @@ def _run_estimate_f(v):
 def _run_empirical_f(v):
     cs, k = v["c"], len(v["c"])
     seeds = [derive_seed(v["seed"], "empirical_f", c) for c in cs]
+    # spanning imports scipy on first use: once here, not in every worker
+    import scipy.linalg.lapack  # noqa: F401
+    import scipy.sparse.csgraph  # noqa: F401
     with _pool(min(v["workers"], k)) as ex:
         reps = list((ex.map if ex else map)(spanning.empirical_f, [v["n"]] * k,
                                             cs, [v["reps"]] * k, seeds))

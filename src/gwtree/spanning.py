@@ -12,7 +12,8 @@ stable sort); no scipy.sparse matrix is built inside the loop.  A Laplacian
 that is dense from the start is scattered into the dense array at once.
 The logs of the pivots are summed, so tau itself (exp of order n) never
 materializes.  Connectivity is checked first, because roundoff can leave a
-tiny nonzero pivot where a singular matrix has an exact zero.
+tiny nonzero pivot where a singular matrix has an exact zero.  scipy is
+imported inside the functions that use it, so importing gwtree loads none.
 """
 
 from __future__ import annotations
@@ -20,9 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
-from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .reports import EstimateReport
 from .rng import derive_seed, substream
@@ -134,6 +132,8 @@ def sample_gnp(n: int, p: float, seed: int) -> SparseGraph:
 def _components(g: SparseGraph) -> tuple[int, np.ndarray]:
     """connected_components of g from its edge list alone, as a CSR of the
     rows u: an undirected search follows each stored edge both ways."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
     u, v = g.edges[:, 0], g.edges[:, 1]
     if (u[1:] < u[:-1]).any():
         order = np.argsort(u, kind="stable")
@@ -184,6 +184,7 @@ def _dense_tail(n, i, j, w, excess, labels, tie) -> float:
     """log det by LAPACK of the matrix with off-diagonal entries w at (i, j)
     and (j, i), and row sums `excess`, in hashed order: a thin tail (a long
     path) is then eliminated in few levels."""
+    from scipy.linalg.lapack import dpotrf
     order = np.argsort(tie)
     pos = np.empty(n, np.int64)
     pos[order] = np.arange(n)
@@ -276,6 +277,7 @@ def _log_det(a, labels: np.ndarray) -> float:
     most _DENSE_N rows, or before a round that would build more than
     _ROUND_FILL n^2 fill pairs (the sum of its eliminated degrees squared).
     Raises ValueError naming labels[k] of the first nonpositive pivot k."""
+    from scipy.sparse import coo_matrix
     a = coo_matrix(a, copy=True)
     a.sum_duplicates()
     upper = a.row < a.col

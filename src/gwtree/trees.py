@@ -10,9 +10,12 @@ Three tree laws are sampled here:
                            Poisson(c*theta) number of type-I children and
                            Poisson(c*q) type-F children; type-F ("finite")
                            vertices get Poisson(c*q) type-F children only.
-  sample_uniform_rooted_tree  uniform labeled tree on n vertices (random
-                           length n-2 sequence decoded to a tree), rooted at
-                           a uniform vertex, labels dropped.
+  sample_uniform_rooted_tree  uniform rooted labeled tree on n vertices,
+                           labels dropped: the Poisson(1) Galton-Watson tree
+                           conditioned on n vertices (Aldous 1991), built
+                           breadth first from n-1 multinomial draws by the
+                           cycle lemma (Dvoretzky & Motzkin 1947; Pitman
+                           2006, sec. 6.1); siblings in a uniform order.
 
 Horizon semantics for sample_pgw_star(c, depth): every type-I node at
 depth <= depth has its child counts sampled; the type-I children created
@@ -344,65 +347,47 @@ def sample_pgw_star(c: float, depth: int, seed: int) -> RootedTree:
     return _arena(t, resamples)
 
 
-def _decode_tree_sequence(seq, n: int) -> list[int]:
-    """Decode a length n-2 sequence over {0..n-1} into the labeled tree
-    whose edges are (leaf[i], seq[i]) and then (leaf[n-2], n-1), by the
-    smallest-leaf rule in linear time; returns leaf."""
-    deg = [1] * n
-    for x in seq:
-        deg[x] += 1
-    leaf = ptr = deg.index(1)
-    leaves = []
-    for x in seq:
-        leaves.append(leaf)
-        deg[x] -= 1
-        if deg[x] == 1 and x < ptr:
-            leaf = x  # x is now the smallest leaf
-        else:
-            ptr = leaf = deg.index(1, ptr + 1)
-    leaves.append(leaf)
-    return leaves
-
-
-def _rooted_shape(seq, n: int, root: int) -> tuple[list[int], list[int]]:
-    """Lists (parent, depth) of the labeled tree decoded from seq and rooted
-    at the label root, labels dropped: nodes are numbered breadth first, each
-    node's neighbours taken in the order of the decoded edges."""
-    if n == 1:
-        return [-1], [0]
-    adj = [[] for _ in range(n)]
-    for a, b in zip(_decode_tree_sequence(seq, n), [*seq, n - 1]):
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = [False] * n
-    seen[root] = True
-    order, parent, depth = [root], [-1], [0]
-    for v, lab in enumerate(order):  # a breadth-first queue, read as it grows
-        for nb in adj[lab]:
-            if not seen[nb]:
-                seen[nb] = True
-                order.append(nb)
-                parent.append(v)
-                depth.append(depth[v] + 1)
-    return parent, depth
-
-
 def _uniform_rooted_tree(n: int, rng: np.random.Generator) -> RootedTree:
-    seq = rng.integers(0, n, size=max(0, n - 2)).tolist()
-    parent, depth = _rooted_shape(seq, n, int(rng.integers(n)))
+    # Poisson(1) child counts conditioned to sum to n - 1 are multinomial.
+    # Read in breadth-first order, counts k are a tree iff the queue
+    # 1 + cumsum(k - 1) first empties at the last node; by the cycle lemma
+    # exactly one rotation of k does so, the one starting just after the
+    # first minimum of cumsum(k) - arange(n).
+    k = np.bincount(rng.integers(0, n, n - 1), minlength=n)
+    ids = np.arange(n)
+    r = int((k.cumsum() - ids).argmin()) + 1
+    k = np.concatenate((k[r:], k[:r]))
+    total = k.cumsum()
+    # level d + 1 holds the children of level d, which end at id a
+    widths, a = [1], 1
+    while a < n:
+        b = 1 + int(total[a - 1])
+        widths.append(b - a)
+        a = b
+    depth = np.repeat(ids[:len(widths)], widths)
+    parent = np.concatenate(([-1], np.repeat(ids, k)))
     return RootedTree(parent, depth, np.zeros(n, np.int8), np.zeros(n, bool))
 
 
 def sample_uniform_rooted_tree(n: int, seed: int) -> RootedTree:
-    """Uniform labeled tree on n vertices with a uniform root, labels dropped."""
+    """Uniform labeled tree on n vertices with a uniform root, labels dropped.
+
+    That is the Poisson(1) Galton-Watson tree conditioned to have n vertices
+    (Aldous, The continuum random tree II, 1991).  Its child counts are
+    built breadth first from n - 1 multinomial draws, rotated by the cycle
+    lemma (Dvoretzky & Motzkin, 1947; Pitman, Combinatorial Stochastic
+    Processes, 2006, sec. 6.1).  Ids are breadth first, and the children of
+    a node are in a uniform order among its plane embeddings.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return _uniform_rooted_tree(n, substream(seed, "uniformtree", n))
 
 
-def subtree_stats(t: RootedTree) -> Counter:
+def subtree_stats(t: RootedTree, histogram: bool = True) -> Counter:
     """Fill per-node subtree sizes N(v) and return the root child-size
-    histogram {size: count}, with math.inf collecting the infinite branches.
+    histogram {size: count}, with math.inf collecting the infinite branches;
+    histogram=False leaves it empty, for callers that read the sizes alone.
 
     N(v) = math.inf whenever v's subtree escapes the sample: v is type I,
     or v (or a descendant) is still open.
@@ -413,12 +398,15 @@ def subtree_stats(t: RootedTree) -> Counter:
     for v in range(len(parent) - 1, 0, -1):
         size[parent[v]] += size[v]
     t.subtree_size = np.fromiter(size, np.float64, len(size))
+    if not histogram:
+        return Counter()
     return Counter(t.subtree_size[t.parent == t.root].tolist())
 
 
 def _sizes(t: RootedTree) -> np.ndarray:
+    """t.subtree_size, filled on first use."""
     if t.subtree_size is None:
-        subtree_stats(t)
+        subtree_stats(t, histogram=False)
     return t.subtree_size
 
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from gwtree import (SparseGraph, empirical_f, extinction_prob, giant_component,
-                    log_spanning_trees, read_edgelist, sample_gnp, spanning,
+                    log_spanning_trees, read_edgelist, sample_gnp,
                     write_edgelist)
 from gwtree.rng import derive_seed
 from gwtree.spanning import _log_det
@@ -206,8 +207,8 @@ class TestLogSpanningTrees:
         # eliminate the 3,000 big-side vertices at once, 2.5 million fill
         # pairs for 812 distinct entries, so the whole matrix goes dense
         tails = []
-        real = spanning.dpotrf
-        monkeypatch.setattr(spanning, "dpotrf",
+        real = lapack.dpotrf  # spanning imports it at each call
+        monkeypatch.setattr(lapack, "dpotrf",
                             lambda a, **kw: tails.append(len(a)) or real(a, **kw))
         a, b = 30, 3000
         edges = np.stack([np.repeat(np.arange(a), b),

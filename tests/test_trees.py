@@ -283,10 +283,11 @@ class TestUniformRootedTree:
         assert len(t2) == 2 and t2.parent[1] == 0
 
     def test_validate_and_size(self):
-        for n in [3, 4, 9, 30]:
+        for n in [1, 2, 3, 4, 9, 30, 20_000]:
             t = sample_uniform_rooted_tree(n, derive_seed(8, n))
             t.validate()
             assert len(t) == n
+            assert (np.diff(t.depth) >= 0).all()  # ids are breadth first
 
     def test_root_degree_two_on_three_vertices(self):
         # all labeled trees on 3 vertices are paths; a uniform root is the
