@@ -358,7 +358,8 @@ def _uniform_rooted_tree(n: int, rng: np.random.Generator) -> RootedTree:
     r = int((k.cumsum() - ids).argmin()) + 1
     k = np.concatenate((k[r:], k[:r]))
     total = k.cumsum()
-    # level d + 1 holds the children of level d, which end at id a
+    # level d ends before id a; its children, level d + 1, end before
+    # 1 + total[a - 1]
     widths, a = [1], 1
     while a < n:
         b = 1 + int(total[a - 1])
