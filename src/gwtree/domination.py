@@ -49,7 +49,9 @@ only their roots (type I, so N = inf).  A killed walk with grow=mu draws
 them on first visit with the same marginal law; CoupledPair.complete()
 grows them to the horizon instead with trees._grow_star, the step of
 sample_pgw_star, each stub x keyed by child_key(derive_seed(seed,
-"couple-hi", lam, mu), x).  Both trees are built with trees' list builders.
+"couple-hi", lam, mu), x) and grown for the levels left between its depth
+and the horizon.  Both trees are built with trees' list builders, as
+(parent, ntype) lists; depth is derived from parent.
 
 A pair takes its draws in traversal order from one buffer of uniforms
 refilled from substream (seed, "couple", lam, mu): at each matched pair
@@ -272,11 +274,12 @@ class CoupledPair:
         does a complete pair.  Returns the pair, whose hi.bush_resamples
         counts the bushes resampled at trees.BUSH_NODE_CAP."""
         hi = self.hi
-        stubs = np.flatnonzero(hi.open_ & (hi.depth <= self.depth)).tolist()
+        left = self.depth - hi.depth  # levels left below each node
+        stubs = np.flatnonzero(hi.open_ & (left >= 0)).tolist()
         if stubs:
-            t = (hi.parent.tolist(), hi.depth.tolist(), hi.ntype.tolist())
+            t = (hi.parent.tolist(), hi.ntype.tolist())
             key = derive_seed(self.seed, "couple-hi", self.lam, self.mu)
-            resamples = sum(_grow_star(t, x, self.depth, child_key(key, x),
+            resamples = sum(_grow_star(t, x, int(left[x]), child_key(key, x),
                                        self.mu) for x in stubs)
             self.hi = _arena(t, resamples)
         return self
@@ -362,17 +365,17 @@ class _CoupledSampler:
         # the stream's uniforms in order, 256 at a time
         draw = chain.from_iterable(
             iter(lambda: rng.random(256).tolist(), None)).__next__
-        # arena lists (parent, depth, ntype), each from the root
-        lo, hi = ([-1], [0], [TYPE_I]), ([-1], [0], [TYPE_I])
-        lo_parent, lo_depth, lo_types = lo
+        # arena lists (parent, ntype), each from the root
+        lo, hi = ([-1], [TYPE_I]), ([-1], [TYPE_I])
+        lo_parent, lo_types = lo
         node_map = {0: 0}
         root_couple = None
         resamples = 0
-        stack = [(0, 0)]
+        stack = [(0, 0, depth)]  # (u, v, levels left below them)
         qcdf, fcdf, vcdf, d = self.qcdf, self.fcdf, self.vcdf, self.d
         leaf = fcdf[0]  # a bush root drawing at most this has no child
         while stack:
-            u, v = stack.pop()
+            u, v, levels = stack.pop()
             a = bisect_left(qcdf, draw()) + 1
             n_f = bisect_left(fcdf, draw())
             cu = _add(lo, u, a)
@@ -392,11 +395,10 @@ class _CoupledSampler:
             # a matched children, the images of the extra roots, then the
             # spare ones, left open
             cv = _add(hi, v, h)
-            deeper = lo_depth[u] < depth  # else the children stay open stubs
             for i in range(a):
                 node_map[cu + i] = cv + i
-                if deeper:
-                    stack.append((cu + i, cv + i))
+                if levels:  # else the children stay open stubs
+                    stack.append((cu + i, cv + i, levels - 1))
             for image, (b, _, _) in enumerate(extra, cv + a):
                 node_map[b] = image
             if shared:  # copied node for node
@@ -409,8 +411,7 @@ class _CoupledSampler:
                                             range(w + shift, e + shift)))
                         hi[0].extend([bv if p == b else p + shift
                                       for p in lo_parent[w:e]])
-                        hi[1].extend(lo_depth[w:e])
-                        hi[2].extend(lo_types[w:e])
+                        hi[1].extend(lo_types[w:e])
                     bv += 1
             if u == 0:
                 root_couple = OffspringCouple(

@@ -201,9 +201,22 @@ def _dense_tail(n, i, j, w, excess, labels, tie) -> float:
 
 
 def _schur_log_det(n: int, i, j, w, excess, labels) -> float:
-    """log det of the symmetric matrix with off-diagonal entries w at (i, j)
-    and (j, i), each pair listed once, and row sums `excess` (the diagonal is
-    excess minus the off-diagonal row sums).  See _log_det."""
+    """log det of the symmetric positive definite matrix with off-diagonal
+    entries w at (i, j) and (j, i), each pair listed once, and row sums
+    `excess` (the diagonal is excess minus the off-diagonal row sums), by
+    rounds of multiple-elimination minimum degree on flat numpy triples and
+    a dense Cholesky tail.
+
+    Each round eliminates the rows whose (degree, hashed label) key is below
+    their neighbours', if their degree is at most twice the minimum plus two,
+    by one Schur complement A_RR - A_RI diag(1/d) A_IR: its fill is the
+    ordered neighbour pairs of each eliminated row, merged in by one stable
+    sort.  The diagonal is kept as row sums minus off-diagonals, so no term
+    of a Laplacian cancels (GTH).  The rounds stop, and the rest goes to
+    LAPACK, once the matrix holds more than _DENSE_FILL n^2 nonzeros or at
+    most _DENSE_N rows, or before a round that would build more than
+    _ROUND_FILL n^2 fill pairs (the sum of its eliminated degrees squared).
+    Raises ValueError naming labels[k] of the first nonpositive pivot k."""
     labels = np.asarray(labels)
     tie = labels.astype(np.uint64) & 0xFFFFFFFF  # lowbias32: a bijection
     for shift, mult in ((16, 0x7FEB352D), (15, 0x846CA68B), (16, 1)):
@@ -261,37 +274,11 @@ def _schur_log_det(n: int, i, j, w, excess, labels) -> float:
     return total + _dense_tail(n, i, j, w, excess, labels, tie)
 
 
-def _log_det(a, labels: np.ndarray) -> float:
-    """log det of a sparse symmetric positive definite matrix, by rounds of
-    multiple-elimination minimum degree on flat numpy triples and a dense
-    Cholesky tail.  The matrix is read once, as its entries above the
-    diagonal and its row sums.
-
-    Each round eliminates the rows whose (degree, hashed label) key is below
-    their neighbours', if their degree is at most twice the minimum plus two,
-    by one Schur complement A_RR - A_RI diag(1/d) A_IR: its fill is the
-    ordered neighbour pairs of each eliminated row, merged in by one stable
-    sort.  The diagonal is kept as row sums minus off-diagonals, so no term
-    of a Laplacian cancels (GTH).  The rounds stop, and the rest goes to
-    LAPACK, once the matrix holds more than _DENSE_FILL n^2 nonzeros or at
-    most _DENSE_N rows, or before a round that would build more than
-    _ROUND_FILL n^2 fill pairs (the sum of its eliminated degrees squared).
-    Raises ValueError naming labels[k] of the first nonpositive pivot k."""
-    from scipy.sparse import coo_matrix
-    a = coo_matrix(a, copy=True)
-    a.sum_duplicates()
-    upper = a.row < a.col
-    excess = np.bincount(a.row, weights=a.data, minlength=a.shape[0])
-    return _schur_log_det(a.shape[0], a.row[upper].astype(np.int64),
-                          a.col[upper].astype(np.int64),
-                          a.data[upper].astype(float), excess, labels)
-
-
 def log_spanning_trees(g: SparseGraph, ground: int = 0) -> ComplexityResult:
     """log tau(G) via the Matrix-Tree theorem: the log-determinant of the
     Laplacian with the ground row/column deleted, read straight from the
-    edges by _schur_log_det (see _log_det).  A reduced Laplacian already
-    past the dense switch (K_n) is scattered into the dense array at once.
+    edges by _schur_log_det.  A reduced Laplacian already past the dense
+    switch (K_n) is scattered into the dense array at once.
     A tree (connected, n - 1 edges) has one spanning tree: log tau is 0.
 
     Raises ValueError on disconnected input, and on a nonpositive pivot

@@ -25,21 +25,22 @@ cap with resample-and-count-rejections accounting.  Walk computations on
 such a tree are exact for return times k <= 2*depth (see walk module).
 
 sample_pgw_star is _grow_star on a one-node root.  _grow_star expands one
-open type-I node to the horizon and keys each node's draws by its path (the
-counter-based rng.child_key and rng.node_uniform, no Generator per node), so
-deepening a tree (same seed, larger depth) reproduces the shallow tree
-exactly.  Type-I counts invert the laws module's positive-Poisson table at
-any c, type-F counts its Poisson table.  Every bush (the type-F subtree
-below a type-F child of a type-I node) is grown by _bush, the one bush loop
-of the package, from a callable that hands out uniforms in turn: here the
-draws of the bush root's path key, one hash a node; in the coupling of the
-domination module, the pair's buffered stream.  CoupledPair.complete() grows
-the mu-side stubs of a coupled pair with _grow_star.  sample_pgw inverts the
-Poisson table at one uniform vector per level from its substream.
+open type-I node to the horizon, counted in levels left below that node,
+and keys each node's draws by its path (the counter-based rng.child_key and
+rng.node_uniform, no Generator per node), so deepening a tree (same seed,
+larger depth) reproduces the shallow tree exactly.  Type-I counts invert
+the laws module's positive-Poisson table at any c, type-F counts its Poisson
+table.  Every bush (the type-F subtree below a type-F child of a type-I
+node) is grown by _bush, the one bush loop of the package, from a callable
+that hands out uniforms in turn: here the draws of the bush root's path key,
+one hash a node; in the coupling of the domination module, the pair's
+buffered stream.  CoupledPair.complete() grows the mu-side stubs of a
+coupled pair with _grow_star.  sample_pgw inverts the Poisson table at one
+uniform vector per level from its substream.
 
-Every tree is one RootedTree arena of per-node numpy arrays; children are
-derived from parent once per tree.  Node-by-node samplers build the lists
-(parent, depth, ntype) by appending, each nonempty block of siblings with
+Every tree is one RootedTree arena of per-node numpy arrays; children and
+depth are derived from parent once per tree.  Node-by-node samplers build
+the lists (parent, ntype) by appending, each nonempty block of siblings with
 _add, and _arena converts them.  Scalar draws invert a table with
 bisect_left directly.  The caller of _bush draws the bush root's first
 uniform itself: at most fcdf[0], the root has no child, and nothing more is
@@ -81,7 +82,7 @@ _TYPE_CHARS = np.array(["U", "I", "F"])  # indexed by type
 _CHAR_TYPE = {ch: k for k, ch in enumerate(_TYPE_CHARS.tolist())}
 
 BUSH_NODE_CAP = 1_000_000
-_DTYPES = (np.int64, np.int64, np.int8, bool)  # parent, depth, ntype, open_
+_DTYPES = (np.int64, np.int8, bool)  # parent, ntype, open_
 
 
 class _Types(np.ndarray):
@@ -112,38 +113,49 @@ class _Children(Sequence):
 class RootedTree:
     """One arena of per-node numpy arrays; the root is node 0.
 
-      parent[v]   int64, index of the parent, -1 for the root
-      depth[v]    int64, distance from the root
+      parent[v]   int64, index of the parent, -1 for the root; every
+                  parent precedes its children
       ntype[v]    int8, TYPE_I / TYPE_F / TYPE_UNTYPED
       open_[v]    bool, True while v's child counts have not been sampled
                   (frontier stubs of truncated samples, or unexpanded
                   nodes of capped samples)
 
-    children[v] lists v's children in ascending id order, from a CSR derived
-    from parent on first use (add_node resets it).  subtree_size, a float
+    children[v] lists v's children in ascending id order, from a CSR, and
+    depth[v] (int64) is v's distance from the root; both are derived from
+    parent on first use (add_node resets them).  subtree_size, a float
     array, is filled by subtree_stats (math.inf marks subtrees that escape
     the sampled horizon; every type-I node is infinite).
     """
 
-    def __init__(self, parent=(), depth=(), ntype=(), open_=(),
+    def __init__(self, parent=(), ntype=(), open_=(),
                  subtree_size: np.ndarray | None = None):
         # np.fromiter reads a list about twice as fast as np.array
-        p, d, a, o = (np.fromiter(x, dt, len(x)) if isinstance(x, list) else
-                      np.asarray(x, dt) for x, dt in zip(
-                          (parent, depth, ntype, open_), _DTYPES))
-        self._cols = (p, d, a.view(_Types), o)
-        self.parent, self.depth, self.ntype, self.open_ = self._cols
+        p, a, o = (np.fromiter(x, dt, len(x)) if isinstance(x, list) else
+                   np.asarray(x, dt) for x, dt in zip(
+                       (parent, ntype, open_), _DTYPES))
+        self._cols = (p, a.view(_Types), o)
+        self.parent, self.ntype, self.open_ = self._cols
         self.root: int = 0
         self.subtree_size = subtree_size
         self.capped: bool = False
         self.bush_resamples: int = 0
         self._children: _Children | None = None
+        self._depth: np.ndarray | None = None
 
     @property
     def children(self) -> _Children:
         if self._children is None:
             self._children = _Children(self.parent)
         return self._children
+
+    @property
+    def depth(self) -> np.ndarray:
+        if self._depth is None:
+            depth = [0] * len(self.parent)
+            for v, p in enumerate(self.parent[1:].tolist(), 1):
+                depth[v] = depth[p] + 1  # parents precede children
+            self._depth = np.fromiter(depth, np.int64, len(depth))
+        return self._depth
 
     def add_node(self, parent: int, ntype: int = TYPE_UNTYPED,
                  open_: bool = True) -> int:
@@ -153,12 +165,11 @@ class RootedTree:
         if v == len(self._cols[0]):
             self._cols = tuple(np.resize(col, 2 * v + 8).view(type(col))
                                for col in self._cols)
-        depth = self.depth[parent] + 1 if parent >= 0 else 0
-        for col, x in zip(self._cols, (parent, depth, ntype, open_)):
+        for col, x in zip(self._cols, (parent, ntype, open_)):
             col[v] = x
-        self.parent, self.depth, self.ntype, self.open_ = (
-            col[:v + 1] for col in self._cols)
-        self._children = self.subtree_size = None
+        self.parent, self.ntype, self.open_ = (col[:v + 1]
+                                               for col in self._cols)
+        self._children = self._depth = self.subtree_size = None
         return v
 
     def __len__(self) -> int:
@@ -179,12 +190,11 @@ class RootedTree:
             raise ValueError("empty tree")
         if p[self.root] != -1:
             raise ValueError("root has a parent")
-        kid = np.arange(n) != self.root
-        q = np.where((p >= 0) & (p < n), p, self.root)
+        ids = np.arange(n)
+        kid = ids != self.root
+        q = np.where((p >= 0) & (p < ids), p, self.root)
         checks = [
             (kid & (q != p), "parent/children mismatch at node {v}"),
-            (kid & (self.depth != self.depth[q] + 1),
-             "depth inconsistent at node {v}"),
             (kid & (a[q] == TYPE_F) & (a != TYPE_F),
              "type-F node {p} has non-F child {v}"),
             ((a == TYPE_I) & ~self.open_
@@ -228,10 +238,9 @@ def sample_pgw(c: float, node_cap: int, seed: int) -> RootedTree:
     # nodes are numbered breadth first, so the children of v follow those
     # of the nodes before v
     expanded = size - width * capped
-    widths = [len(k) for k in counts] + [width] * capped
     parent = np.repeat(np.arange(-1, expanded), np.concatenate([[1], *counts]))
-    t = RootedTree(parent, np.repeat(np.arange(len(widths)), widths),
-                   np.zeros(size, np.int8), np.arange(size) >= expanded)
+    t = RootedTree(parent, np.zeros(size, np.int8),
+                   np.arange(size) >= expanded)
     t.capped = capped
     return t
 
@@ -248,25 +257,25 @@ def _star_tables(c: float) -> tuple:
 
 
 def _add(t: tuple, p: int, n: int, ntype: int = TYPE_I) -> int:
-    """Give node p of the arena lists t = (parent, depth, ntype) n new
-    children of the given type; returns the id of the first."""
-    parent, depth, types = t
+    """Give node p of the arena lists t = (parent, ntype) n new children of
+    the given type; returns the id of the first."""
+    parent, types = t
     w = len(parent)
     parent.extend([p] * n)
-    depth.extend([depth[p] + 1] * n)
     types.extend([ntype] * n)
     return w
 
 
 def _arena(t: tuple, bush_resamples: int = 0) -> RootedTree:
-    """The RootedTree of the arena lists t; its childless type-I nodes are
-    the open ones (an expanded type-I node has a type-I child)."""
-    parent, depth, types = t
+    """The RootedTree of the arena lists t = (parent, ntype); its childless
+    type-I nodes are the open ones (an expanded type-I node has a type-I
+    child)."""
+    parent, types = t
     p = np.fromiter(parent, np.int64, len(parent))
     a = np.fromiter(types, np.int8, len(types))
     open_ = a == TYPE_I
     open_[p[1:]] = False
-    tree = RootedTree(p, depth, a, open_)
+    tree = RootedTree(p, a, open_)
     tree.bush_resamples = bush_resamples
     return tree
 
@@ -302,20 +311,21 @@ def _bush(t: tuple, b: int, fcdf, draw, u: float | None = None) -> int:
     raise ArithmeticError("bush sampling exceeded the node cap 64 times")
 
 
-def _grow_star(t: tuple, v: int, depth: int, key: int, c: float) -> int:
+def _grow_star(t: tuple, v: int, levels: int, key: int, c: float) -> int:
     """Expand the open type-I node v of the arena lists t with the two-type
-    law at c, and its type-I descendants down to depth; the type-I children
-    made below depth stay open.  A type-I node x draws node_uniform(key_x, 0)
-    and (key_x, 1), where key_x is key at v and child_key(key_x, i) at its
-    i-th child; the bush below its j-th child grows from node_uniform(
-    child_key(key_x, j), 0), (..., 1), ... in turn.  Returns the number of
-    bushes resampled for passing BUSH_NODE_CAP."""
+    law at c, and its type-I descendants down to the given number of levels
+    below v; the type-I children made past that level stay open.  A type-I
+    node x draws node_uniform(key_x, 0) and (key_x, 1), where key_x is key at
+    v and child_key(key_x, i) at its i-th child; the bush below its j-th
+    child grows from node_uniform(child_key(key_x, j), 0), (..., 1), ... in
+    turn.  Returns the number of bushes resampled for passing
+    BUSH_NODE_CAP."""
     qcdf, fcdf = _star_tables(c)
     leaf = fcdf[0]  # a bush root drawing at most this has no child
     resamples = 0
-    stack = [(v, key)]  # (type-I node, key)
+    stack = [(v, key, levels)]  # (type-I node, key, levels left below it)
     while stack:
-        x, key = stack.pop()
+        x, key, levels = stack.pop()
         n_i = bisect_left(qcdf, node_uniform(key, 0)) + 1
         n_f = bisect_left(fcdf, node_uniform(key, 1))
         w = _add(t, x, n_i)
@@ -327,8 +337,9 @@ def _grow_star(t: tuple, v: int, depth: int, key: int, c: float) -> int:
             if u > leaf:
                 draws = map(node_uniform, repeat(bkey), count(1))
                 resamples += _bush(t, w + j, fcdf, draws.__next__, u)
-        if t[1][x] < depth:
-            stack.extend((w + i, child_key(key, i)) for i in range(n_i))
+        if levels:
+            stack.extend((w + i, child_key(key, i), levels - 1)
+                         for i in range(n_i))
     return resamples
 
 
@@ -342,7 +353,7 @@ def sample_pgw_star(c: float, depth: int, seed: int) -> RootedTree:
         raise ValueError(f"sample_pgw_star requires finite c >= 1, got {c}")
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    t = ([-1], [0], [TYPE_I])
+    t = ([-1], [TYPE_I])
     resamples = _grow_star(t, 0, depth, derive_seed(seed, "pgwstar"), c)
     return _arena(t, resamples)
 
@@ -357,17 +368,8 @@ def _uniform_rooted_tree(n: int, rng: np.random.Generator) -> RootedTree:
     ids = np.arange(n)
     r = int((k.cumsum() - ids).argmin()) + 1
     k = np.concatenate((k[r:], k[:r]))
-    total = k.cumsum()
-    # level d ends before id a; its children, level d + 1, end before
-    # 1 + total[a - 1]
-    widths, a = [1], 1
-    while a < n:
-        b = 1 + int(total[a - 1])
-        widths.append(b - a)
-        a = b
-    depth = np.repeat(ids[:len(widths)], widths)
     parent = np.concatenate(([-1], np.repeat(ids, k)))
-    return RootedTree(parent, depth, np.zeros(n, np.int8), np.zeros(n, bool))
+    return RootedTree(parent, np.zeros(n, np.int8), np.zeros(n, bool))
 
 
 def sample_uniform_rooted_tree(n: int, seed: int) -> RootedTree:
@@ -429,17 +431,15 @@ def tree_from_text(text: str) -> RootedTree:
         raise ValueError(f"unknown node type {min(bad)!r}, not U, I or F")
     ids, parent = ids.astype(np.int64), parent.astype(np.int64)
     v = np.arange(len(ids))
-    if (ids != v).any() or ((parent < -1) | (parent >= v)).any():
+    # the root alone has parent -1, and every parent precedes its children
+    if (ids != v).any() or parent[0] != -1 or (
+            (parent[1:] < 0) | (parent[1:] >= v[1:])).any():
         raise ValueError("node ids must run 0, 1, 2, ... and follow the id "
                          "of their parent")
-    depth = [0] * len(ids)
-    for w, p in enumerate(parent.tolist()):
-        depth[w] = depth[p] + 1 if p >= 0 else 0
     sizes = sizes.astype(float)
     # the format has no open column: infinite childless nodes are the open
     # ones, exactly so for every tree whose open nodes are childless, as the
     # samplers leave them
     childless = np.bincount(parent[parent >= 0], minlength=len(v)) == 0
-    return RootedTree(parent, depth,
-                      [_CHAR_TYPE[ch] for ch in chars.tolist()],
+    return RootedTree(parent, [_CHAR_TYPE[ch] for ch in chars.tolist()],
                       np.isinf(sizes) & childless, subtree_size=sizes)

@@ -16,16 +16,13 @@ from gwtree import (TYPE_F, TYPE_I, RootedTree, sample_pgw, sample_pgw_star,
 from gwtree.domination import OffspringCouple, sample_coupled_trees
 
 
-def reference_violation(parent, depth, ntype, open_, children, size):
+def reference_violation(parent, ntype, open_, children, size):
     """The first invariant that validate() finds broken, at its first node,
     or None."""
     n = len(parent)
     for v in range(1, n):
-        if not 0 <= parent[v] < n:
+        if not 0 <= parent[v] < v:
             return f"parent/children mismatch at node {v}"
-    for v in range(1, n):
-        if depth[v] != depth[parent[v]] + 1:
-            return f"depth inconsistent at node {v}"
     for v in range(1, n):
         if ntype[parent[v]] == TYPE_F and ntype[v] != TYPE_F:
             return f"type-F node {parent[v]} has non-F child {v}"
@@ -44,12 +41,13 @@ def check_against_reference(t, corrupt=None):
     """children, subtree_stats, validate, specified_depth and the text round
     trip of t agree with loops over plain lists; corrupt = (node, amount)
     adds amount to one finite subtree size before validate runs."""
-    parent, depth, ntype, open_ = (a.tolist() for a in
-                                   (t.parent, t.depth, t.ntype, t.open_))
+    parent, ntype, open_ = (a.tolist() for a in (t.parent, t.ntype, t.open_))
     n = len(parent)
     children = [[] for _ in range(n)]
+    depth = [0] * n
     for v in range(1, n):
         children[parent[v]].append(v)
+        depth[v] = depth[parent[v]] + 1  # parents precede their children
     size = [0.0] * n
     for v in reversed(range(n)):  # parents precede their children
         size[v] = (math.inf if ntype[v] == TYPE_I or open_[v]
@@ -79,7 +77,7 @@ def check_against_reference(t, corrupt=None):
         if math.isfinite(size[v]):
             t.subtree_size[v] += corrupt[1]
             size[v] += corrupt[1]
-    want = reference_violation(parent, depth, ntype, open_, children, size)
+    want = reference_violation(parent, ntype, open_, children, size)
     if want is None:
         t.validate()
     else:
@@ -138,6 +136,17 @@ class TestArenaAgainstReference:
         # infinite, and every other infinite node has children
         back = tree_from_text(tree_to_text(t))
         assert np.array_equal(back.open_, t.open_)
+
+    def test_parent_after_child_is_rejected(self):
+        # node 1 hangs from node 2: subtree_stats would give the root size 2
+        t = RootedTree([-1, 2, 0], [TYPE_F] * 3, [False] * 3)
+        assert reference_violation(t.parent.tolist(), t.ntype.tolist(),
+                                   t.open_.tolist(), [[2], [], [1]],
+                                   [3.0, 1.0, 2.0]) == (
+            "parent/children mismatch at node 1")
+        with pytest.raises(ValueError,
+                           match="parent/children mismatch at node 1"):
+            t.validate()
 
     def test_detects_unordered_children(self):
         # a children CSR that lost the stable ordering must fail the check

@@ -13,7 +13,7 @@ from gwtree import (SparseGraph, empirical_f, extinction_prob, giant_component,
                     log_spanning_trees, read_edgelist, sample_gnp,
                     write_edgelist)
 from gwtree.rng import derive_seed
-from gwtree.spanning import _log_det
+from gwtree.spanning import _schur_log_det
 
 
 def complete_graph(n):
@@ -226,18 +226,23 @@ class TestLogSpanningTrees:
         assert log_spanning_trees(g).log_tau == pytest.approx(want, rel=1e-10)
 
     def test_pivot_error_names_the_row(self):
-        # the dense path: only row 1 has a negative pivot in any order
-        indefinite = np.array([[2.0, 0.0, 1.0], [0.0, -1.0, 0.0],
-                               [1.0, 0.0, 2.0]])
+        # the dense path: only row 1 of [[2, 0, 1], [0, -1, 0], [1, 0, 2]]
+        # has a negative pivot in any order; its one entry above the
+        # diagonal is (0, 2, 1.0) and its row sums are [3, -1, 3]
+        i, j, w = np.array([0]), np.array([2]), np.array([1.0])
+        excess = np.array([3.0, -1.0, 3.0])
         with pytest.raises(ValueError, match="pivot at vertex 1:"):
-            _log_det(indefinite, np.arange(3))
+            _schur_log_det(3, i, j, w, excess, np.arange(3))
         with pytest.raises(ValueError, match="pivot at vertex 11:"):
-            _log_det(indefinite, labels=[10, 11, 12])
-        # the sparse rounds: a diagonal matrix with one negative entry
+            _schur_log_det(3, i, j, w, excess, labels=[10, 11, 12])
+        # the sparse rounds: a diagonal matrix with one negative entry, no
+        # entries off the diagonal and its diagonal as row sums
         diag = np.ones(100)
         diag[37] = -1.0
+        none = np.array([], np.int64)
         with pytest.raises(ValueError, match="pivot at vertex 37:"):
-            _log_det(np.diag(diag), np.arange(100))
+            _schur_log_det(100, none, none, np.array([]), diag,
+                           np.arange(100))
 
     def test_disconnected_raises_with_pivot(self):
         g = SparseGraph(4, [[0, 1], [2, 3]])

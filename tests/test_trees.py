@@ -386,6 +386,15 @@ class TestSerialization:
         assert back.parent.tolist() == t.parent.tolist()
         assert back.ntype.tolist() == t.ntype.tolist()
 
+    @pytest.mark.parametrize("text", [
+        "0 -1 I inf\n1 -1 F 1\n2 1 F 1\n",  # a second root
+        "0 0 I inf\n1 0 F 1\n",  # the root has a parent
+        "0 -2 U 1\n",
+    ])
+    def test_forest_or_rootless_raises(self, text):
+        with pytest.raises(ValueError, match="follow the id of their parent"):
+            tree_from_text(text)
+
     def test_unknown_type_letter(self):
         with pytest.raises(ValueError, match="'X'"):
             tree_from_text("0 -1 X inf\n")

@@ -430,7 +430,7 @@ class TestPathKeyedTrees:
     def reference(c, key, depth):
         """(is type I, type-I count, child count) by key, for the type-I
         nodes to depth and their bush roots of _grow_star's tree."""
-        lists = ([-1], [0], [trees.TYPE_I])
+        lists = ([-1], [trees.TYPE_I])
         trees._grow_star(lists, 0, depth, key, c)
         t = trees._arena(lists)
         ref, stack = {}, [(0, key)]
