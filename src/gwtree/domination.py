@@ -49,9 +49,8 @@ only their roots (type I, so N = inf).  A killed walk with grow=mu draws
 them on first visit with the same marginal law; CoupledPair.complete()
 grows them to the horizon instead with trees._grow_star, the step of
 sample_pgw_star, each stub x keyed by child_key(derive_seed(seed,
-"couple-hi", lam, mu), x) and grown for the levels left between its depth
-and the horizon.  Both trees are built with trees' list builders, as
-(parent, ntype) lists; depth is derived from parent.
+"couple-hi", lam, mu), x).  Both trees are built with trees' (parent,
+ntype) list builders; depth is derived from parent.
 
 A pair takes its draws in traversal order from one buffer of uniforms
 refilled from substream (seed, "couple", lam, mu): at each matched pair
