@@ -47,7 +47,7 @@ def check_against_reference(t, corrupt=None):
     depth = [0] * n
     for v in range(1, n):
         children[parent[v]].append(v)
-        depth[v] = depth[parent[v]] + 1  # parents precede their children
+        depth[v] = depth[parent[v]] + 1
     size = [0.0] * n
     for v in reversed(range(n)):  # parents precede their children
         size[v] = (math.inf if ntype[v] == TYPE_I or open_[v]
