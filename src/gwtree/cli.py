@@ -146,7 +146,7 @@ def _resolve(args: argparse.Namespace) -> dict:
 _COUPLE_NODE_BUDGET = 2_000_000
 
 
-# Most bytes the walk stacks of one run may hold.  walk._walk_chunks keeps
+# Most bytes the walk stacks of one chunk may hold.  walk._walk_chunk keeps
 # 24 bytes (a key and two counts) for each of K + 1 stack levels of each of
 # a chunk's min(samples, 8192) walks, whatever c is; the estimate counts
 # K + 2 levels, the last for the chunk's per-walk vectors.  Levels that no
@@ -219,7 +219,7 @@ def _validated_inputs(cmd: str, cfg: dict) -> dict:
         if size > _WALK_STACK_BUDGET:
             raise ConfigError(
                 f"K: walks of {v['K']} steps hold about {size / 2**20:,.0f} "
-                f"MB of stacks a run, over the budget of "
+                f"MB of stacks a chunk, over the budget of "
                 f"{_WALK_STACK_BUDGET >> 20:,} MB")
     cs = v["c"] if isinstance(v.get("c"), list) else [v.get("c")]
     for c in cs:
@@ -306,7 +306,7 @@ def _run_returns(v):
     with _pool(v["workers"]) as ex:
         reps = [walk.estimate_return_integral(
                     c, v["K"], v["samples"],
-                    derive_seed(v["seed"], "returns", c), ex, v["workers"])
+                    derive_seed(v["seed"], "returns", c), ex)
                 for c in v["c"]]
     rows = [{"c": c, "K": v["K"], "n_samples": r.n_samples,
              "value": r.value, "stderr": r.stderr, "seed": r.seed}
@@ -316,7 +316,7 @@ def _run_returns(v):
 
 def _walk_f(v, c, ex):
     seed = derive_seed(v["seed"], "estimate_f", c)
-    return walk.estimate_f(c, v["K"], v["samples"], seed, ex, v["workers"])
+    return walk.estimate_f(c, v["K"], v["samples"], seed, ex)
 
 
 def _run_estimate_f(v):
@@ -351,7 +351,7 @@ def _run_decay(v):
     with _pool(v["workers"]) as ex:
         diag = walk.pbar_decay_diagnostic(
             v["c"], v["K"], v["samples"],
-            derive_seed(v["seed"], "decay", v["c"]), ex, v["workers"])
+            derive_seed(v["seed"], "decay", v["c"]), ex)
     rows = [{"k": k, "pbar": p, "stderr": se} for k, p, se in diag.rows]
     return rows, {"fit_slope": diag.fit_slope,
                   "fit_intercept": diag.fit_intercept}

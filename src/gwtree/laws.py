@@ -3,9 +3,9 @@
 Q_r is Poisson(r) and Q*_r is Poisson(r) conditioned positive.  This is
 the only implementation of these laws, and no sampler calls numpy's: every
 offspring count draws from one by building its cdf table once (cdf_table,
-cached by law and parameters) and inverting it per draw (quantile; the
-node-by-node tree builders call its scalar step, bisect_left on the table
-plus 1, themselves).
+cached by law and parameters) and inverting it: quantile inverts an array
+of draws, and every scalar draw (the node-by-node tree builders, the
+coupling and the killed walk) calls bisect_left on the table itself, plus 1.
 
 A table inverts a large array of draws through its guide table (Chen &
 Asau, 1974), built on first use and cached by the table's identity: L >=
@@ -20,7 +20,6 @@ times slower on any tuple subclass.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from functools import lru_cache
 
 import numpy as np
@@ -114,12 +113,9 @@ def poisson_cdf(rate: float) -> tuple[float, ...]:
     return cdf_table(_log_poisson_from0, rate) if rate > 0.0 else (1.0,)
 
 
-def quantile(table, u):
-    """Least k with P(X <= k) >= u for u in [0, 1): by bisection for a float
-    u, and by np.searchsorted for an array u, through the table's guide once
-    u holds 1024 draws."""
-    if isinstance(u, float):
-        return bisect_left(table, u) + 1
+def quantile(table, u: np.ndarray) -> np.ndarray:
+    """Least k with P(X <= k) >= u, for each u of an array in [0, 1): by
+    np.searchsorted, through the table's guide once u holds 1024 draws."""
     arr, size, guide = _guided(table)
     if len(u) < _GUIDE_MIN:
         return np.searchsorted(arr, u, side="left") + 1

@@ -120,11 +120,12 @@ class RootedTree:
                   (frontier stubs of truncated samples, or unexpanded
                   nodes of capped samples)
 
-    children[v] lists v's children in ascending id order, from a CSR, and
-    depth[v] (int64) is v's distance from the root; both are derived from
-    parent on first use (add_node resets them).  subtree_size, a float
-    array, is filled by subtree_stats (math.inf marks subtrees that escape
-    the sampled horizon; every type-I node is infinite).
+    A tree is built from complete columns (add_node builds it anew with
+    one node more).  children[v] lists v's children in ascending id order, from a
+    CSR, and depth[v] (int64) is v's distance from the root; both are
+    derived from parent on first use.  subtree_size, a float array, is
+    filled by subtree_stats (math.inf marks subtrees that escape the
+    sampled horizon; every type-I node is infinite).
     """
 
     def __init__(self, parent=(), ntype=(), open_=(),
@@ -133,8 +134,7 @@ class RootedTree:
         p, a, o = (np.fromiter(x, dt, len(x)) if isinstance(x, list) else
                    np.asarray(x, dt) for x, dt in zip(
                        (parent, ntype, open_), _DTYPES))
-        self._cols = (p, a.view(_Types), o)
-        self.parent, self.ntype, self.open_ = self._cols
+        self.parent, self.ntype, self.open_ = p, a.view(_Types), o
         self.root: int = 0
         self.subtree_size = subtree_size
         self.capped: bool = False
@@ -159,18 +159,12 @@ class RootedTree:
 
     def add_node(self, parent: int, ntype: int = TYPE_UNTYPED,
                  open_: bool = True) -> int:
-        """Append one node to a hand-built tree.  The arrays are views of
-        buffers that double when full, so writes through them persist."""
-        v = len(self.parent)
-        if v == len(self._cols[0]):
-            self._cols = tuple(np.resize(col, 2 * v + 8).view(type(col))
-                               for col in self._cols)
-        for col, x in zip(self._cols, (parent, ntype, open_)):
-            col[v] = x
-        self.parent, self.ntype, self.open_ = (col[:v + 1]
-                                               for col in self._cols)
-        self._children = self._depth = self.subtree_size = None
-        return v
+        """Append one node to a small hand-built tree and return its id: the
+        tree is rebuilt from its columns with the node appended, at the cost
+        of a copy, and its other fields start afresh."""
+        self.__init__(*map(np.append, (self.parent, self.ntype, self.open_),
+                           (parent, ntype, open_)))
+        return len(self) - 1
 
     def __len__(self) -> int:
         return len(self.parent)
@@ -280,17 +274,14 @@ def _arena(t: tuple, bush_resamples: int = 0) -> RootedTree:
     return tree
 
 
-def _bush(t: tuple, b: int, fcdf, draw, u: float | None = None) -> int:
+def _bush(t: tuple, b: int, fcdf, draw, u: float) -> int:
     """Sample the type-F subtree below node b of the arena lists t in full
     (a.s. finite: its Poisson rate is at most 1), depth first, each node's
-    child count the quantile of fcdf at its draw: u for b when given, else
-    the next draw(), and the next draw() for each later node.  A caller
-    holding b's first draw passes it as u, and skips the call when u is at
-    most fcdf[0] (b then has no child).  An attempt that passes
-    BUSH_NODE_CAP nodes is discarded and counted, and the next one draws on
-    from draw(), its root too; returns the number discarded."""
-    if u is None:
-        u = draw()
+    child count the quantile of fcdf at its draw: u, which the caller drew
+    for b, and the next draw() for each later node.  The caller skips the
+    call when u is at most fcdf[0] (b then has no child).  An attempt that
+    passes BUSH_NODE_CAP nodes is discarded and counted, and the next one
+    draws on from draw(), its root too; returns the number discarded."""
     keep = len(t[0])
     for attempt in range(64):
         x, stack = b, []
@@ -424,8 +415,13 @@ def tree_to_text(t: RootedTree) -> str:
 
 def tree_from_text(text: str) -> RootedTree:
     # raises ValueError unless every line reads 'id parent-id type N'
-    ids, parent, chars, sizes = np.array(
-        [line.split() for line in text.strip().splitlines()]).T
+    rows = {i: line.split() for i, line in enumerate(text.splitlines(), 1)
+            if line.strip()}
+    short = [i for i, row in rows.items() if len(row) != 4]
+    if short or not rows:
+        where = f"line {short[0]}" if short else "empty text"
+        raise ValueError(f"{where}: lines must read 'id parent-id type N'")
+    ids, parent, chars, sizes = np.array(list(rows.values())).T
     bad = set(chars.tolist()) - _CHAR_TYPE.keys()
     if bad:
         raise ValueError(f"unknown node type {min(bad)!r}, not U, I or F")

@@ -25,14 +25,15 @@ one stack level per depth, whatever c is.  From step K/2 on, every fourth
 step retires the walks too deep to be back at the root by step K: they add
 nothing more, and their step draws are still taken, so those of the others
 do not move.  Walks go in chunks of 8192, each drawing its step choices
-from its own substream; an executor walks up to `workers` runs of
-consecutive chunks at once, so the output does not depend on the pool.
+from its own substream; an executor walks the chunks at once, one task
+each, so the output does not depend on the pool.
 Both walk engines invert the laws module's tables for all offspring counts.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -191,9 +192,9 @@ def killed_walk_visits(t: RootedTree, s: float, seed: int,
                 raise RuntimeError("walk reached the frontier of a tree "
                                    "sampled without lazy growth")
             else:
-                n_i = (quantile(qcdf, rng.random()) if types[cur] == TYPE_I
-                       else 0)
-                n = n_i + quantile(fcdf, rng.random()) - 1
+                n_i = (bisect_left(qcdf, rng.random()) + 1
+                       if types[cur] == TYPE_I else 0)
+                n = n_i + bisect_left(fcdf, rng.random())
                 ch = range(len(parent), len(parent) + n)
                 parent += [cur] * n
                 types += [TYPE_I] * n_i + [TYPE_F] * (n - n_i)
@@ -219,9 +220,10 @@ def _node_counts(keys: np.ndarray, is_i: np.ndarray, qcdf, fcdf):
                                               u)) - 1
 
 
-def _walk_chunks(c: float, K: int, seed: int, starts, n_samples: int):
-    """Walk the run of consecutive chunks that begin at `starts`; returns the
-    run's (per_sample, hits) as _annealed_return_walks does.
+def _walk_chunk(c: float, K: int, seed: int, n_samples: int, start: int):
+    """Walk the chunk of walks start, start + 1, ... (up to _WALK_CHUNK of
+    them, fewer at the end of n_samples); returns the chunk's (per_sample,
+    hits) as _annealed_return_walks does.
 
     Walk j (counted over all chunks) walks the path-keyed tree with root key
     child_key(derive_seed(seed, "annealedtree", c), j), whose root is type
@@ -234,75 +236,67 @@ def _walk_chunks(c: float, K: int, seed: int, starts, n_samples: int):
     one draw per walk and step, retired walks included.
     """
     qcdf, fcdf = _star_tables(c)
-    tree_key = derive_seed(seed, "annealedtree", c)
-    sizes = [min(_WALK_CHUNK, n_samples - s) for s in starts]
-    per_sample = np.zeros(sum(sizes))
+    m = min(_WALK_CHUNK, n_samples - start)
+    per_sample = np.zeros(m)
     hits = np.zeros(K + 1, dtype=np.int64)
-    # the stacks of a chunk's m walks: level d of walk w at slot d * m + w
-    keys = np.empty((K + 1) * max(sizes), np.uint64)
+    # one substream per chunk: walks are then identical across runs with
+    # different K, so K-truncated estimates are monotone per seed
+    rng = substream(seed, "annealedwalk", c, start)
+    # the stacks of the m walks: level d of walk w at slot d * m + w
+    keys = np.empty((K + 1) * m, np.uint64)
     n_i = np.empty(len(keys), np.int32)
     n_child = np.empty(len(keys), np.int32)
-    for start, m in zip(starts, sizes):
-        # one substream per chunk: walks are then identical across runs with
-        # different K, so K-truncated estimates are monotone per seed
-        rng = substream(seed, "annealedwalk", c, start)
-        keys[:m] = child_keys(tree_key, np.arange(start, start + m))
-        n_i[:m], n_child[:m] = _node_counts(keys[:m], np.ones(m, bool), qcdf,
-                                            fcdf)
-        ids = np.arange(m)  # the walks that can still return, ascending
-        slot = ids.copy()  # each walk's slot: its depth times m, plus w
-        acc = per_sample[start - starts[0]:start - starts[0] + m]
+    keys[:m] = child_keys(derive_seed(seed, "annealedtree", c),
+                          np.arange(start, start + m))
+    n_i[:m], n_child[:m] = _node_counts(keys[:m], np.ones(m, bool), qcdf, fcdf)
+    ids = np.arange(m)  # the walks that can still return, ascending
+    slot = ids.copy()  # each walk's slot: its depth times m, plus w
 
-        for k in range(1, K + 1):
-            if k >= K // 2 and k % 4 == 0:
-                # a walk at depth d is back at step k - 1 + d at the soonest
-                back = slot < (K - k + 2) * m
-                ids, slot = ids[back], slot[back]
-            u = rng.random(m)[ids]  # every walk's draw, so none moves
-            kids = n_child[slot]
-            deg = kids + (slot >= m)  # a non-root node has its parent too
-            # r < deg: a double u < 1 times an integer rounds below it
-            r = (u * deg).astype(np.int64)
-            down = np.flatnonzero(r < kids)
-            top, i = slot[down], r[down]
-            slot -= m  # every walk pops a level, and those stepping down
-            slot[down] += 2 * m  # to their child i push one instead
-            new = top + m
-            keys[new] = child = child_keys(keys[top], i)
-            n_i[new], n_child[new] = _node_counts(child, i < n_i[top], qcdf,
-                                                  fcdf)
-            at_root = slot < m
-            if k % 2 == 0:
-                acc[ids[at_root]] += 1.0 / k
-            hits[k] += np.count_nonzero(at_root)
+    for k in range(1, K + 1):
+        if k >= K // 2 and k % 4 == 0:
+            # a walk at depth d is back at step k - 1 + d at the soonest
+            back = slot < (K - k + 2) * m
+            ids, slot = ids[back], slot[back]
+        u = rng.random(m)[ids]  # every walk's draw, so none moves
+        kids = n_child[slot]
+        deg = kids + (slot >= m)  # a non-root node has its parent too
+        # r < deg: a double u < 1 times an integer rounds below it
+        r = (u * deg).astype(np.int64)
+        down = np.flatnonzero(r < kids)
+        top, i = slot[down], r[down]
+        slot -= m  # every walk pops a level, and those stepping down
+        slot[down] += 2 * m  # to their child i push one instead
+        new = top + m
+        keys[new] = child = child_keys(keys[top], i)
+        n_i[new], n_child[new] = _node_counts(child, i < n_i[top], qcdf, fcdf)
+        at_root = slot < m
+        if k % 2 == 0:
+            per_sample[ids[at_root]] += 1.0 / k
+        hits[k] += np.count_nonzero(at_root)
     return per_sample, hits
 
 
 def _annealed_return_walks(c: float, K: int, n_samples: int, seed: int,
-                           executor=None, workers=1):
+                           executor=None):
     """Simulate one K-step walk per lazily grown two-type tree.
 
     Returns (per_sample, hits): per_sample[i] = sum of 1/k over the return
     times k <= K of walk i; hits[k] = number of walks at the root at step k.
-    An executor maps the chunks, cut into at most `workers` runs, in order.
+    An executor maps the chunks, one task each, and returns them in order.
     """
-    starts = range(0, n_samples, _WALK_CHUNK)
-    n = min(workers, len(starts)) if executor else 1
-    # the later runs take the spare chunks, as the last chunk may be short
-    runs = [starts[len(starts) * i // n:len(starts) * (i + 1) // n]
-            for i in range(n)]
-    per_sample, hits = zip(*(executor.map if n > 1 else map)(
-        partial(_walk_chunks, c, K, seed, n_samples=n_samples), runs))
+    per_sample, hits = zip(*(executor.map if executor else map)(
+        partial(_walk_chunk, c, K, seed, n_samples),
+        range(0, n_samples, _WALK_CHUNK)))
     return np.concatenate(per_sample), np.sum(hits, axis=0)
 
 
 def estimate_return_integral(c: float, K: int, n_samples: int, seed: int,
-                             executor=None, workers=1) -> EstimateReport:
+                             executor=None) -> EstimateReport:
     """Monte Carlo estimate of the K-truncated annealed return integral
     sum_{k<=K} E[p_k]/k under the survival-conditioned tree at parameter c.
-    An executor walks the chunks in up to `workers` runs; same result."""
+    An executor walks the chunks at once; same result."""
     _validate_estimator_args(c, K, n_samples)
-    walks, _ = _annealed_return_walks(c, K, n_samples, seed, executor, workers)
+    walks, _ = _annealed_return_walks(c, K, n_samples, seed, executor)
     return EstimateReport(
         value=float(walks.mean()),
         stderr=float(walks.std(ddof=1) / math.sqrt(n_samples)),
@@ -312,21 +306,21 @@ def estimate_return_integral(c: float, K: int, n_samples: int, seed: int,
 
 
 def estimate_f(c: float, K: int, n_samples: int, seed: int,
-               executor=None, workers=1) -> EstimateReport:
+               executor=None) -> EstimateReport:
     """Spanning-tree entropy estimate: analytic E[log deg] minus the Monte
     Carlo return integral.  All sampling variance sits in the walk part;
     truncating at K can only push the estimate up (dropped terms are
     nonnegative)."""
-    ret = estimate_return_integral(c, K, n_samples, seed, executor, workers)
+    ret = estimate_return_integral(c, K, n_samples, seed, executor)
     eld = expected_log_degree(extinction_prob(c))
     return replace(ret, value=eld - ret.value)
 
 
 def pbar_decay_diagnostic(c: float, K: int, n_samples: int, seed: int,
-                          executor=None, workers=1) -> DecayDiagnostic:
+                          executor=None) -> DecayDiagnostic:
     """Per-k annealed return-probability table with the decay fit."""
     _validate_estimator_args(c, K, n_samples)
-    _, hits = _annealed_return_walks(c, K, n_samples, seed, executor, workers)
+    _, hits = _annealed_return_walks(c, K, n_samples, seed, executor)
     rows = []
     for k in range(1, K + 1):
         p = hits[k] / n_samples

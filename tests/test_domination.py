@@ -468,7 +468,8 @@ class TestBushShape:
             draws = iter([(cdf[n] + cdf[n + 1]) / 2 for n in counts])
             t = ([-1], [TYPE_F])
             try:
-                assert _bush(t, 0, poisson_cdf(rate), draws.__next__) == 0
+                assert _bush(t, 0, poisson_cdf(rate), draws.__next__,
+                             next(draws)) == 0
             except StopIteration:  # the counts ask for more nodes
                 continue
             if next(draws, None) is not None:  # ... or for fewer

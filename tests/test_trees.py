@@ -33,23 +33,25 @@ def shape(t, v=0):
 
 
 def reference_pgw(c, node_cap, seed):
-    """sample_pgw grown node by node with add_node, from the same draws."""
+    """sample_pgw grown node by node in lists, from the same draws."""
     table = np.asarray(poisson_cdf(c))
     rng = substream(seed, "pgw", c)
-    t = RootedTree()
-    t.add_node(-1)
-    level = [0]
+    parent, open_ = [-1], [True]
+    level, capped = [0], False
     while level:
         counts = quantile(table, rng.random(len(level))) - 1
-        if len(t) + int(counts.sum()) > node_cap:
-            t.capped = True
-            return t
+        if len(parent) + int(counts.sum()) > node_cap:
+            capped = True
+            break
         nxt = []
         for v, k in zip(level, counts.tolist()):
-            t.open_[v] = False
-            for _ in range(k):
-                nxt.append(t.add_node(v))
+            open_[v] = False
+            nxt += range(len(parent), len(parent) + k)
+            parent += [v] * k
+            open_ += [True] * k
         level = nxt
+    t = RootedTree(parent, [trees.TYPE_UNTYPED] * len(parent), open_)
+    t.capped = capped
     return t
 
 
@@ -393,6 +395,16 @@ class TestSerialization:
     ])
     def test_forest_or_rootless_raises(self, text):
         with pytest.raises(ValueError, match="follow the id of their parent"):
+            tree_from_text(text)
+
+    @pytest.mark.parametrize("text, where", [
+        ("", "empty text"),
+        ("0 -1 I\n", "line 1"),
+        ("0 -1 I inf\n1 0 F 1\n2 0 F\n3 0 F 1\n", "line 3"),
+    ], ids=["empty", "three-fields", "one-short-line"])
+    def test_malformed_line_named(self, text, where):
+        with pytest.raises(ValueError, match=f"^{where}: .*'id parent-id "
+                                             "type N'"):
             tree_from_text(text)
 
     def test_unknown_type_letter(self):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
@@ -15,7 +16,7 @@ from gwtree import (EstimateReport, estimate_f, estimate_return_integral,
                     required_depth_for_killed_walk, return_probs, return_sum,
                     sample_coupled_trees, sample_pgw, sample_pgw_star,
                     sample_uniform_rooted_tree)
-from gwtree import laws, trees, walk
+from gwtree import trees, walk
 from gwtree.rng import child_key, derive_seed
 from gwtree.trees import RootedTree
 from gwtree.walk import _annealed_return_walks
@@ -291,10 +292,10 @@ class TestKilledWalk:
         # the tree; it inverts a table only to grow a node
         grown = []
 
-        def counting_quantile(table, u):
+        def counting_bisect_left(table, u):
             grown.append(u)
-            return laws.quantile(table, u)
-        monkeypatch.setattr(walk, "quantile", counting_quantile)
+            return bisect_left(table, u)
+        monkeypatch.setattr(walk, "bisect_left", counting_bisect_left)
         def state(t):
             return len(t), [hashlib.sha256(a.tobytes()).hexdigest() for a in
                             (t.parent, t.depth, t.ntype, t.open_)]
@@ -391,8 +392,7 @@ class TestAnnealedEnginePinned:
 
     @staticmethod
     def digests(c, n, seed, executor=None):
-        per_sample, hits = _annealed_return_walks(c, 20, n, seed, executor,
-                                                  workers=2)
+        per_sample, hits = _annealed_return_walks(c, 20, n, seed, executor)
         return tuple(hashlib.sha256(a.tobytes()).hexdigest()
                      for a in (per_sample, hits))
 
@@ -406,7 +406,7 @@ class TestAnnealedEnginePinned:
                 assert self.digests(*key, executor=ex) == pin, key
 
     def test_any_executor(self):
-        # the run count comes from `workers`, not from the executor's fields
+        # one task per chunk, whatever the executor's kind or size
         with ThreadPoolExecutor(max_workers=2) as ex:
             for key, pin in self.PINS.items():
                 assert self.digests(*key, executor=ex) == pin, key
@@ -461,7 +461,7 @@ class TestPathKeyedTrees:
         monkeypatch.setattr(walk, "_node_counts", recording)
         # the second chunk: walk j's tree is keyed by j over all chunks
         first = walk._WALK_CHUNK
-        walk._walk_chunks(c, 20, seed, [first], first + m)
+        walk._walk_chunk(c, 20, seed, first + m, first)
 
         tree_key = derive_seed(seed, "annealedtree", c)
         met = []
