@@ -121,9 +121,9 @@ class RootedTree:
                   nodes of capped samples)
 
     A tree is built from complete columns (add_node builds it anew with
-    one node more).  children[v] lists v's children in ascending id order, from a
-    CSR, and depth[v] (int64) is v's distance from the root; both are
-    derived from parent on first use.  subtree_size, a float array, is
+    one node more).  children[v] lists v's children in ascending id order,
+    from a CSR, and depth[v] (int64) is v's distance from the root; both
+    are derived from parent on first use.  subtree_size, a float array, is
     filled by subtree_stats (math.inf marks subtrees that escape the
     sampled horizon; every type-I node is infinite).
     """
