@@ -147,11 +147,12 @@ _COUPLE_NODE_BUDGET = 2_000_000
 
 
 # Most bytes the walk stacks of one chunk may hold.  walk._walk_chunk keeps
-# 24 bytes (a key and two counts) for each of K + 1 stack levels of each of
-# a chunk's min(samples, 8192) walks, whatever c is; the estimate counts
-# K + 2 levels, the last for the chunk's per-walk vectors.  Levels that no
-# walk reaches stay untouched: returns --c 2 --K 1000 --samples 8192
-# --workers 1 peaked at 122 MB (estimate 188 MB over a 67 MB interpreter).
+# walk._STACK_LEVEL_BYTES (16: a uint64 key and two int32 counts) for each of
+# K + 1 stack levels of each of a chunk's min(samples, 8192) walks, whatever
+# c is; the estimate counts K + 2 levels, the last for the chunk's per-walk
+# vectors.  Levels that no walk reaches stay untouched: returns --c 2
+# --K 1000 --samples 8192 --workers 1 peaked at 122 MB (estimate 125 MB over
+# a 67 MB interpreter).
 _WALK_STACK_BUDGET = 1 << 30
 _WALK_COMMANDS = ("returns", "estimate-f", "decay", "crosscheck")
 
@@ -215,7 +216,8 @@ def _validated_inputs(cmd: str, cfg: dict) -> dict:
                 f"mu = {mu}, depth {depth} holds about {total:.3g} nodes, "
                 f"over the budget of {_COUPLE_NODE_BUDGET:,}")
     if cmd in _WALK_COMMANDS:
-        size = 24 * (v["K"] + 2) * min(v["samples"], walk._WALK_CHUNK)
+        size = (walk._STACK_LEVEL_BYTES * (v["K"] + 2)
+                * min(v["samples"], walk._WALK_CHUNK))
         if size > _WALK_STACK_BUDGET:
             raise ConfigError(
                 f"K: walks of {v['K']} steps hold about {size / 2**20:,.0f} "

@@ -6,15 +6,20 @@ offspring count draws from one by building its cdf table once (cdf_table,
 cached by law and parameters) and inverting it: quantile inverts an array
 of draws, and every scalar draw (the node-by-node tree builders, the
 coupling and the killed walk) calls bisect_left on the table itself, plus 1.
+A type-I node of a path-keyed tree draws its two child counts at once, from
+one draw through the joint table of the trees module; the walk engine
+inverts that table and the type-F Poisson table in one pass of stack_index
+over its exact integer draws, against stack_thresholds of the two.
 
 A table inverts a large array of draws through its guide table (Chen &
 Asau, 1974), built on first use and cached by the table's identity: L >=
 2 len(table) buckets, a power of two, each holding the number of table
 entries below its left end.  The bucket of u gives a k that is at most the
 answer, one step up settles nearly every draw, and np.searchsorted the few
-left, so the result is bit-identical to np.searchsorted on the table.
-Tables stay plain tuples: bisect_left, the scalar lookup, is about three
-times slower on any tuple subclass.
+left, so the result is bit-identical to np.searchsorted on the table.  A
+stack of integer thresholds has its guide built the same way, over the
+power of two above its last entry.  Tables stay plain tuples: bisect_left,
+the scalar lookup, is about three times slower on any tuple subclass.
 """
 
 from __future__ import annotations
@@ -27,14 +32,16 @@ import numpy as np
 _TAIL_TOL = 2.0 ** -53  # the resolution of a uniform draw in [0, 1)
 _KCAP = 200_000
 _GUIDE_MIN = 1024  # fewer draws than this go by np.searchsorted
-# id(table) -> (table, its array, L, its guide); holding the table keeps its
-# id from being reused while the entry lives
+_SEGMENT = 1 << 53  # integer draws x in [0, 2^53) stand for x 2^-53
+# id(table) -> (table, its array, L or the bucket shift, its guide); holding
+# the table keeps its id from being reused while the entry lives
 _guides: dict[int, tuple] = {}
 
 
-def _guided(table: tuple) -> tuple:
-    """The numpy array, bucket count L and guide of a cdf table, built on
-    first use; at most 64 tables are kept."""
+def _guided(table) -> tuple:
+    """The numpy array and guide of a cdf table or a stack of thresholds,
+    built on first use, with the bucket count L of a table or the shift
+    that takes a stack's draw to its bucket; at most 64 are kept."""
     entry = _guides.get(id(table))
     if entry is None:
         if len(_guides) >= 64:
@@ -43,10 +50,26 @@ def _guided(table: tuple) -> tuple:
         size = 4096
         while size < 2 * len(arr):
             size *= 2
-        # one more bucket, at u = 1.0, takes the end of the table
-        guide = np.searchsorted(arr, np.arange(size + 1) / size)
-        entry = _guides[id(table)] = (table, arr, size, guide)
+        if arr.dtype.kind == "f":
+            # one more bucket, at u = 1.0, takes the end of the table
+            scale, left = size, np.arange(size + 1) / size
+        else:  # L buckets over [0, 2^b), 2^b the power of two above the end
+            scale = int(arr[-1]).bit_length() - size.bit_length() + 1
+            left = np.arange(size + 1, dtype=np.int64) << scale
+        guide = np.searchsorted(arr, left)
+        entry = _guides[id(table)] = (table, arr, scale, guide)
     return entry[1:]
+
+
+def _settle(arr: np.ndarray, k: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The least k with arr[k] >= u, for each u, from the guide's k, which
+    is at most that: one step up settles nearly every draw, and
+    np.searchsorted the few left."""
+    up = np.flatnonzero(arr[k] < u)
+    k[up] += 1
+    up = up[arr[k[up]] < u[up]]
+    k[up] = np.searchsorted(arr, u[up], side="left")
+    return k
 
 
 def log_expm1(x: float) -> float:
@@ -119,9 +142,28 @@ def quantile(table, u: np.ndarray) -> np.ndarray:
     arr, size, guide = _guided(table)
     if len(u) < _GUIDE_MIN:
         return np.searchsorted(arr, u, side="left") + 1
-    k = guide[(u * size).astype(np.intp)]  # u * size is exact: size = 2^m
-    up = np.flatnonzero(arr[k] < u)
-    k[up] += 1
-    up = up[arr[k[up]] < u[up]]
-    k[up] = np.searchsorted(arr, u[up], side="left")
-    return k + 1
+    # u * size is exact: size = 2^m
+    return _settle(arr, guide[(u * size).astype(np.intp)], u) + 1
+
+
+def stack_thresholds(*tables) -> np.ndarray:
+    """The cdf tables as one ascending int64 array: segment s holds
+    s 2^53 + floor(table * 2^53), each clipped to 2^53 - 1 within it.  For
+    an integer x in [0, 2^53), table[k] >= x 2^-53 iff floor(table[k] 2^53)
+    >= x, and no clipped entry falls below x, so the first entry >= s 2^53 +
+    x sits at the segment's start plus bisect_left(table, x 2^-53).  The
+    clipping keeps the 1.0 entries of one segment below the next."""
+    return np.concatenate([
+        s * _SEGMENT + np.minimum(np.floor(np.asarray(t) * _SEGMENT),
+                                  _SEGMENT - 1).astype(np.int64)
+        for s, t in enumerate(tables)])
+
+
+def stack_index(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Least k with stack[k] >= x, for each int64 x of an array: a draw in
+    [0, 2^53) plus s 2^53 looks up segment s.  By np.searchsorted, through
+    the stack's guide once x holds 1024 draws."""
+    arr, shift, guide = _guided(stack)
+    if len(x) < _GUIDE_MIN:
+        return np.searchsorted(arr, x, side="left")
+    return _settle(arr, guide[x >> shift], x)

@@ -19,7 +19,10 @@ levels.
 
 child_keys and node_uniforms are the same two functions on numpy uint64
 key arrays, bit for bit: numpy's uint64 arithmetic wraps mod 2^64, which is
-exactly SplitMix64's.  The walk engine grows its trees with them.
+exactly SplitMix64's.  node_bits gives the same draws as the integers x in
+[0, 2^53) with uniform x 2^-53.  The walk engine grows its trees with them:
+a type-I node draws its two child counts from its draw 0 alone, through the
+joint table of the trees module, as _grow_star does.
 """
 
 from __future__ import annotations
@@ -95,8 +98,14 @@ def child_keys(keys, i) -> np.ndarray:
     return _mix_array(_offsets(i, 1) + np.asarray(keys, np.uint64))
 
 
-def node_uniforms(keys, j) -> np.ndarray:
-    """node_uniform of each uint64 key, draw j (an int or an array)."""
+def node_bits(keys, j) -> np.ndarray:
+    """Draw j of each uint64 key as the int64 x in [0, 2^53) whose x 2^-53
+    is its node_uniform."""
     z = _mix_array(_offsets(j, 2) + np.asarray(keys, np.uint64))
     z >>= 11
-    return z * 2.0 ** -53
+    return z.view(np.int64)
+
+
+def node_uniforms(keys, j) -> np.ndarray:
+    """node_uniform of each uint64 key, draw j (an int or an array)."""
+    return node_bits(keys, j) * 2.0 ** -53

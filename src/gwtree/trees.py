@@ -28,15 +28,17 @@ sample_pgw_star is _grow_star on a one-node root.  _grow_star expands one
 open type-I node to the horizon, counted in levels left below that node,
 and keys each node's draws by its path (the counter-based rng.child_key and
 rng.node_uniform, no Generator per node), so deepening a tree (same seed,
-larger depth) reproduces the shallow tree exactly.  Type-I counts invert
-the laws module's positive-Poisson table at any c, type-F counts its Poisson
-table.  Every bush (the type-F subtree below a type-F child of a type-I
-node) is grown by _bush, the one bush loop of the package, from a callable
-that hands out uniforms in turn: here the draws of the bush root's path key,
-one hash a node; in the coupling of the domination module, the pair's
-buffered stream.  CoupledPair.complete() grows the mu-side stubs of a
-coupled pair with _grow_star.  sample_pgw inverts the Poisson table at one
-uniform vector per level from its substream.
+larger depth) reproduces the shallow tree exactly.  A type-I node draws its
+independent type-I and type-F counts from one uniform, its draw 0, through
+_joint_table, the product of the laws module's positive-Poisson and Poisson
+tables, built once per c; a type-F node's count inverts the Poisson table.
+Every bush (the type-F subtree below a type-F child of a type-I node) is
+grown by _bush, the one bush loop of the package, from a callable that
+hands out uniforms in turn: here the draws of the bush root's path key, one
+hash a node; in the coupling of the domination module, the pair's buffered
+stream.  CoupledPair.complete() grows the mu-side stubs of a coupled pair
+with _grow_star.  sample_pgw inverts the Poisson table at one uniform vector
+per level from its substream.
 
 Every tree is one RootedTree arena of per-node numpy arrays; children and
 depth are derived from parent once per tree.  Node-by-node samplers build
@@ -250,6 +252,18 @@ def _star_tables(c: float) -> tuple:
     return positive_poisson_cdf(params.ctheta), poisson_cdf(params.cq)
 
 
+@lru_cache(maxsize=64)
+def _joint_table(c: float) -> tuple[float, ...]:
+    """cdf table of a type-I node's independent counts (n_i, n_f) at c, in
+    lexicographic order: entry (n_i - 1) len(fcdf) + n_f, so divmod by
+    len(fcdf) decodes it.  Row n_i runs from qcdf[n_i - 2] by the type-I
+    mass times fcdf and ends at qcdf[n_i - 1] exactly."""
+    qcdf, fcdf = _star_tables(c)
+    return tuple(x for lo, hi in zip((0.0,) + qcdf, qcdf)
+                 for x in [min(lo + (hi - lo) * f, hi) for f in fcdf[:-1]]
+                 + [hi])
+
+
 def _add(t: tuple, p: int, n: int, ntype: int = TYPE_I) -> int:
     """Give node p of the arena lists t = (parent, ntype) n new children of
     the given type; returns the id of the first."""
@@ -306,19 +320,20 @@ def _grow_star(t: tuple, v: int, levels: int, key: int, c: float) -> int:
     """Expand the open type-I node v of the arena lists t with the two-type
     law at c, and its type-I descendants down to the given number of levels
     below v; the type-I children made past that level stay open.  A type-I
-    node x draws node_uniform(key_x, 0) and (key_x, 1), where key_x is key at
-    v and child_key(key_x, i) at its i-th child; the bush below its j-th
-    child grows from node_uniform(child_key(key_x, j), 0), (..., 1), ... in
-    turn.  Returns the number of bushes resampled for passing
-    BUSH_NODE_CAP."""
-    qcdf, fcdf = _star_tables(c)
+    node x draws its type-I and type-F counts together from
+    node_uniform(key_x, 0) through _joint_table, where key_x is key at v and
+    child_key(key_x, i) at its i-th child; the bush below its j-th child
+    grows from node_uniform(child_key(key_x, j), 0), (..., 1), ... in turn.
+    Returns the number of bushes resampled for passing BUSH_NODE_CAP."""
+    fcdf = _star_tables(c)[1]
+    joint, width = _joint_table(c), len(fcdf)
     leaf = fcdf[0]  # a bush root drawing at most this has no child
     resamples = 0
     stack = [(v, key, levels)]  # (type-I node, key, levels left below it)
     while stack:
         x, key, levels = stack.pop()
-        n_i = bisect_left(qcdf, node_uniform(key, 0)) + 1
-        n_f = bisect_left(fcdf, node_uniform(key, 1))
+        n_i, n_f = divmod(bisect_left(joint, node_uniform(key, 0)), width)
+        n_i += 1
         w = _add(t, x, n_i)
         if n_f:
             _add(t, x, n_f, TYPE_F)
@@ -413,29 +428,39 @@ def tree_to_text(t: RootedTree) -> str:
         enumerate(zip(t.parent.tolist(), _TYPE_CHARS[t.ntype].tolist(), nv)))
 
 
+def _fields(row: list[str]) -> tuple | None:
+    """(id, parent-id, type, N) of a line's fields, or None unless there
+    are four and the id and parent-id read as ints and N as a float."""
+    try:
+        v, p, ch, size = row
+        return int(v), int(p), ch, float(size)
+    except ValueError:
+        return None
+
+
 def tree_from_text(text: str) -> RootedTree:
     # raises ValueError unless every line reads 'id parent-id type N'
-    rows = {i: line.split() for i, line in enumerate(text.splitlines(), 1)
-            if line.strip()}
-    short = [i for i, row in rows.items() if len(row) != 4]
-    if short or not rows:
-        where = f"line {short[0]}" if short else "empty text"
+    rows = {i: _fields(line.split())
+            for i, line in enumerate(text.splitlines(), 1) if line.strip()}
+    bad = [i for i, row in rows.items() if row is None]
+    if bad or not rows:
+        where = f"line {bad[0]}" if bad else "empty text"
         raise ValueError(f"{where}: lines must read 'id parent-id type N'")
-    ids, parent, chars, sizes = np.array(list(rows.values())).T
-    bad = set(chars.tolist()) - _CHAR_TYPE.keys()
-    if bad:
-        raise ValueError(f"unknown node type {min(bad)!r}, not U, I or F")
-    ids, parent = ids.astype(np.int64), parent.astype(np.int64)
+    ids, parent, chars, sizes = zip(*rows.values())
+    unknown = set(chars) - _CHAR_TYPE.keys()
+    if unknown:
+        raise ValueError(f"unknown node type {min(unknown)!r}, not U, I or F")
+    ids, parent, sizes = (np.array(x, dt) for x, dt in zip(
+        (ids, parent, sizes), (np.int64, np.int64, float)))
     v = np.arange(len(ids))
     # the root alone has parent -1, and every parent precedes its children
     if (ids != v).any() or parent[0] != -1 or (
             (parent[1:] < 0) | (parent[1:] >= v[1:])).any():
         raise ValueError("node ids must run 0, 1, 2, ... and follow the id "
                          "of their parent")
-    sizes = sizes.astype(float)
     # the format has no open column: infinite childless nodes are the open
     # ones, exactly so for every tree whose open nodes are childless, as the
     # samplers leave them
     childless = np.bincount(parent[parent >= 0], minlength=len(v)) == 0
-    return RootedTree(parent, [_CHAR_TYPE[ch] for ch in chars.tolist()],
+    return RootedTree(parent, [_CHAR_TYPE[ch] for ch in chars],
                       np.isinf(sizes) & childless, subtree_size=sizes)

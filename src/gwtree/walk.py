@@ -20,13 +20,16 @@ K-truncated return integral, so the estimator is unbiased for the same
 estimand with variance read off the sample.  The trees are path keyed, as
 sample_pgw_star's are: a node's child counts are a function of its key,
 drawn afresh each time the walk enters it, so no tree is ever stored.  A
-walk holds only the keys and counts of the nodes on its path from the root,
-one stack level per depth, whatever c is.  From step K/2 on, every fourth
-step retires the walks too deep to be back at the root by step K: they add
-nothing more, and their step draws are still taken, so those of the others
-do not move.  Walks go in chunks of 8192, each drawing its step choices
-from its own substream; an executor walks the chunks at once, one task
-each, so the output does not depend on the pool.
+node draws once, its draw 0: a type-I node's two counts through the joint
+table, a type-F node's through the type-F table, both looked up in one
+pass over exact 53-bit integer draws.  A walk holds only the keys and
+counts of the nodes on its path from the root, one stack level per depth,
+whatever c is.  From step K/2 on, every fourth step retires the walks too
+deep to be back at the root by step K: they add nothing more, and their
+step draws are still taken, so those of the others do not move.  Walks go
+in chunks of 8192, each drawing its step choices from its own substream;
+an executor walks the chunks at once, one task each, so the output does
+not depend on the pool.
 Both walk engines invert the laws module's tables for all offspring counts.
 """
 
@@ -35,15 +38,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .analytic import expected_log_degree, extinction_prob
-from .laws import quantile
+from .laws import stack_index, stack_thresholds
 from .reports import EstimateReport
-from .rng import child_keys, derive_seed, node_uniforms, substream
-from .trees import TYPE_F, TYPE_I, RootedTree, _star_tables
+from .rng import child_keys, derive_seed, node_bits, substream
+from .trees import TYPE_F, TYPE_I, RootedTree, _joint_table, _star_tables
 
 __all__ = [
     "ReturnProfile",
@@ -60,6 +63,9 @@ __all__ = [
 ]
 
 _WALK_CHUNK = 8192
+# a walk's stack level: its node's key, type-I count and child count
+_KEY, _COUNT = np.uint64, np.int32
+_STACK_LEVEL_BYTES = np.dtype(_KEY).itemsize + 2 * np.dtype(_COUNT).itemsize
 
 
 @dataclass(frozen=True)
@@ -210,14 +216,31 @@ def killed_walk_visits(t: RootedTree, s: float, seed: int,
 # annealed walk engine
 
 
-def _node_counts(keys: np.ndarray, is_i: np.ndarray, qcdf, fcdf):
+@lru_cache(maxsize=64)
+def _count_tables(c: float) -> tuple:
+    """The stacked thresholds of _joint_table(c) (type-I nodes) and of the
+    type-F table (type-F nodes), and the type-I and child counts of each
+    entry: divmod by the type-F table's length, plus (1, 0), in the joint
+    segment, and (0, the entry's place) in the type-F one."""
+    fcdf, joint = _star_tables(c)[1], _joint_table(c)
+    n_i, n_f = np.divmod(np.arange(len(joint)), len(fcdf))
+    f = np.arange(len(fcdf))
+    counts = (np.r_[n_i + 1, 0 * f].astype(_COUNT),
+              np.r_[n_i + 1 + n_f, f].astype(_COUNT))
+    return stack_thresholds(joint, fcdf), counts
+
+
+def _node_counts(keys: np.ndarray, is_i: np.ndarray, stack, counts):
     """The type-I and total child counts of the nodes with the given path
-    keys and types, drawn as _grow_star draws them: a type-I node's from its
-    draws 0 and 1, a type-F node's (type-F children only) from its draw 0."""
-    u = node_uniforms(keys, 0)
-    n_i = quantile(qcdf, u) * is_i
-    return n_i, n_i + quantile(fcdf, np.where(is_i, node_uniforms(keys, 1),
-                                              u)) - 1
+    keys and types, drawn as _grow_star draws them, from each node's draw 0:
+    a type-I node's two counts through the joint table, a type-F node's
+    (type-F children only) through the type-F table.  One stack_index pass
+    looks up both kinds in the stack of _count_tables, a type-F node's draw
+    raised by 2^53 into the type-F segment."""
+    x = node_bits(keys, 0)
+    x |= np.left_shift(~is_i, 53, dtype=np.int64)
+    k = stack_index(stack, x)
+    return counts[0][k], counts[1][k]
 
 
 def _walk_chunk(c: float, K: int, seed: int, n_samples: int, start: int):
@@ -235,7 +258,7 @@ def _walk_chunk(c: float, K: int, seed: int, n_samples: int, start: int):
     type-I count).  The step choices alone come from the chunk's substream,
     one draw per walk and step, retired walks included.
     """
-    qcdf, fcdf = _star_tables(c)
+    tables = _count_tables(c)
     m = min(_WALK_CHUNK, n_samples - start)
     per_sample = np.zeros(m)
     hits = np.zeros(K + 1, dtype=np.int64)
@@ -243,12 +266,12 @@ def _walk_chunk(c: float, K: int, seed: int, n_samples: int, start: int):
     # different K, so K-truncated estimates are monotone per seed
     rng = substream(seed, "annealedwalk", c, start)
     # the stacks of the m walks: level d of walk w at slot d * m + w
-    keys = np.empty((K + 1) * m, np.uint64)
-    n_i = np.empty(len(keys), np.int32)
-    n_child = np.empty(len(keys), np.int32)
+    keys = np.empty((K + 1) * m, _KEY)
+    n_i = np.empty(len(keys), _COUNT)
+    n_child = np.empty(len(keys), _COUNT)
     keys[:m] = child_keys(derive_seed(seed, "annealedtree", c),
                           np.arange(start, start + m))
-    n_i[:m], n_child[:m] = _node_counts(keys[:m], np.ones(m, bool), qcdf, fcdf)
+    n_i[:m], n_child[:m] = _node_counts(keys[:m], np.ones(m, bool), *tables)
     ids = np.arange(m)  # the walks that can still return, ascending
     slot = ids.copy()  # each walk's slot: its depth times m, plus w
 
@@ -268,7 +291,7 @@ def _walk_chunk(c: float, K: int, seed: int, n_samples: int, start: int):
         slot[down] += 2 * m  # to their child i push one instead
         new = top + m
         keys[new] = child = child_keys(keys[top], i)
-        n_i[new], n_child[new] = _node_counts(child, i < n_i[top], qcdf, fcdf)
+        n_i[new], n_child[new] = _node_counts(child, i < n_i[top], *tables)
         at_root = slot < m
         if k % 2 == 0:
             per_sample[ids[at_root]] += 1.0 / k

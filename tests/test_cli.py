@@ -83,13 +83,13 @@ class TestValidation:
         assert err.startswith("gwtree: error: c:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("cmd", [
-        ["returns", "--c", "2", "--K", "6000"],
-        ["estimate-f", "--c", "2,1000", "--K", "6000"],
-        ["decay", "--c", "1000", "--K", "6000"],
-        ["crosscheck", "--c", "3", "--n", "1000", "--K", "6000"]])
+        ["returns", "--c", "2", "--K", "9000"],
+        ["estimate-f", "--c", "2,1000", "--K", "9000"],
+        ["decay", "--c", "1000", "--K", "9000"],
+        ["crosscheck", "--c", "3", "--n", "1000", "--K", "9000"]])
     def test_walk_arena_over_budget(self, tmp_path, capsys, cmd):
-        # the walk stacks of 8192 walks of 6000 steps, 24 B x 6002 x 8192,
-        # are over a gigabyte at any c
+        # the walk stacks of 8192 walks of 9000 steps, 16 B x 9002 x 8192,
+        # are over a gibibyte at any c
         rc, out = run(tmp_path, "x.json", cmd + ["--workers", "1"])
         assert rc == 2
         assert not out.exists()
@@ -197,7 +197,7 @@ class TestReproducibility:
                      "--seed", "0"]) == 0
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == (
-            "8d7ceddc75dbb8f90171df68d720a08e63813294d54510dd46c4c7f10d4af740")
+            "ecf5404f8d9f816c840502dc809d4f7300a30350a1f34a44bb3c4050a7e42275")
 
     def test_config_embedded(self, tmp_path):
         _, out = run(tmp_path, "r.json",

@@ -10,8 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gwtree
+from gwtree import trees
 from gwtree.laws import (_GUIDE_MIN, cdf_table, log_borel, poisson_cdf,
-                         positive_poisson_cdf, quantile)
+                         positive_poisson_cdf, quantile, stack_index,
+                         stack_thresholds)
 
 
 def table_mean(tab):
@@ -81,6 +83,37 @@ class TestGuideQuantile:
         for s in range(0, len(u), _GUIDE_MIN - 1):  # below the cut
             part = u[s:s + _GUIDE_MIN - 1]
             assert np.array_equal(quantile(table, part), want[s:s + len(part)])
+
+
+class TestStackIndex:
+    """The one-pass integer lookup of the walk engine: a type-I draw x in
+    [0, 2^53) against the joint table's segment, and a type-F draw x + 2^53
+    against the type-F table's, equal bisect_left on the float tables at
+    u = x 2^-53, on either side of the size below which it is searchsorted.
+    Unclipped, the joint table's trailing 1.0 entries would read 2^53 and
+    take a type-F draw of 0."""
+
+    @pytest.mark.parametrize("c", [1.0001, 1.05, 2.0, 4.0, 50.0, 1e5])
+    def test_equals_bisect_left(self, c):
+        joint, fcdf = trees._joint_table(c), trees._star_tables(c)[1]
+        assert joint[-2] == 1.0  # trailing 1.0 entries
+        stack = stack_thresholds(joint, fcdf)
+        assert stack.dtype == np.int64 and np.all(np.diff(stack) >= 0)
+        top = 2 ** 53
+        edges = np.concatenate([np.floor(np.asarray(t) * top) + d
+                                for t in (joint, fcdf) for d in (0, 1)])
+        x = np.concatenate([[0, top - 1], edges[edges < top],
+                            np.random.default_rng(7).integers(0, top, 4096)])
+        x = x.astype(np.int64)
+        u = (x * 2.0 ** -53).tolist()
+        want_i = [bisect_left(joint, v) for v in u]
+        want_f = [len(joint) + bisect_left(fcdf, v) for v in u]
+        for draws, want in ((x, want_i), (x + top, want_f)):
+            assert stack_index(stack, draws).tolist() == want
+            for s in range(0, len(x), _GUIDE_MIN - 1):  # below the cut
+                part = draws[s:s + _GUIDE_MIN - 1]
+                assert stack_index(stack, part).tolist() == want[
+                    s:s + len(part)]
 
 
 def test_laws_is_the_one_poisson_source():

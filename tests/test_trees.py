@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import chi2
+from scipy.stats import chi2, chi2_contingency
 
 from gwtree import (TYPE_F, TYPE_I, RootedTree, borel_pmf, degree_pmf,
                     extinction_prob, sample_pgw, sample_pgw_star,
                     sample_uniform_rooted_tree, subtree_stats, tree_from_text,
                     tree_to_text, trees)
-from gwtree.laws import poisson_cdf, quantile
+from gwtree.laws import poisson_cdf, positive_poisson_cdf, quantile
 from gwtree.rng import child_key, derive_seed, node_uniform, substream
 
 INF = math.inf
@@ -277,6 +277,36 @@ def _subtree_nodes(t, v):
     return out
 
 
+class TestJointTable:
+    """A type-I node's (type-I, type-F) counts come from one draw through
+    _joint_table: their law must be the product of Q*_{c theta} and Q_{cq}."""
+
+    @pytest.mark.parametrize("c", [1.0001, 1.05, 2.0, 4.0, 100.0, 1e5])
+    def test_marginals_are_the_laws(self, c):
+        params = extinction_prob(c)
+        qcdf = positive_poisson_cdf(params.ctheta)
+        fcdf = poisson_cdf(params.cq)
+        joint = np.asarray(trees._joint_table(c))
+        assert np.all(np.diff(joint) >= 0.0) and joint[-1] == 1.0
+        pmf = np.diff(joint, prepend=0.0).reshape(len(qcdf), len(fcdf))
+        for got, table in ((pmf.sum(axis=1), qcdf), (pmf.sum(axis=0), fcdf)):
+            want = np.diff(table, prepend=0.0)
+            assert np.abs(got - want).max() <= 1e-15, c
+
+    @pytest.mark.parametrize("c", [1.5, 2.0])
+    def test_root_counts_independent(self, c):
+        # chi-square contingency of the root's type-I count (1, 2, 3, >= 4)
+        # against its type-F count (0, 1, 2, >= 3)
+        n = 20_000
+        table = np.zeros((4, 4), int)
+        for i in range(n):
+            t = sample_pgw_star(c, 0, derive_seed(12, "joint", c, i))
+            n_i = int(np.count_nonzero(t.ntype[t.children[t.root]] == TYPE_I))
+            n_f = len(t.children[t.root]) - n_i
+            table[min(n_i, 4) - 1, min(n_f, 3)] += 1
+        assert chi2_contingency(table).pvalue >= 1e-6, table
+
+
 class TestUniformRootedTree:
     def test_tiny_sizes(self):
         t1 = sample_uniform_rooted_tree(1, 0)
@@ -401,7 +431,10 @@ class TestSerialization:
         ("", "empty text"),
         ("0 -1 I\n", "line 1"),
         ("0 -1 I inf\n1 0 F 1\n2 0 F\n3 0 F 1\n", "line 3"),
-    ], ids=["empty", "three-fields", "one-short-line"])
+        ("0 -1 I inf\n1 x F 1\n", "line 2"),
+        ("0 -1 I inf\n1 0 F one\n", "line 2"),
+    ], ids=["empty", "three-fields", "one-short-line", "parent-not-int",
+            "size-not-float"])
     def test_malformed_line_named(self, text, where):
         with pytest.raises(ValueError, match=f"^{where}: .*'id parent-id "
                                              "type N'"):

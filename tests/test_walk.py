@@ -264,8 +264,15 @@ class TestKilledWalk:
 
     def test_lazy_growth_draws_pinned(self):
         # pinned visit counts of one fixed tree: the lazy-growth rates and
-        # table, cached per c, must reproduce the walk's draws exactly
-        t = sample_pgw_star(2.0, 3, seed=6)
+        # table, cached per c, must reproduce the walk's draws exactly.  The
+        # tree is fixed here (a depth-3 tree at c = 2), so that the pins
+        # follow the killed walk's draws alone, not sample_pgw_star's
+        t = RootedTree(
+            [-1, 0, 0, 0, 2, 2, 2, 5, 5, 8, 8, 7, 7, 7, 7, 7, 7, 16, 4, 4,
+             19, 18, 1, 22, 23, 23],
+            [1, 1, 1, 2, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 1, 2, 2, 1,
+             1, 1, 1, 1],
+            [i in (9, 10, 11, 12, 13, 14, 21, 24, 25) for i in range(26)])
         xs = [killed_walk_visits(t, 0.7, derive_seed(5, i), grow=2.0)
               for i in range(40)]
         assert xs == [1, 1, 2, 1, 1, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 1,
@@ -375,19 +382,20 @@ class TestEstimators:
 class TestAnnealedEnginePinned:
     """sha256 of (per_sample, hits) at K = 20, on path-keyed trees walked
     with per-walk stacks: several chunks, and a short chunk after full ones.
-    c enters the tree key and the substream key as given, so c = 2 and
-    c = 2.0 differ."""
+    Every node the walks enter draws its counts from its draw 0 alone, a
+    type-I node's two counts through the joint table.  c enters the tree key
+    and the substream key as given, so c = 2 and c = 2.0 differ."""
 
     PINS = {
         (2, 20000, 1): (
-            "a41f29176dc296cd22e5387cc1dd2f9852086f1b3d9d018795e94343c006b60e",
-            "06df6193043e7373201b78169c4684cd648a6f6767400723aec6bd51e39a0b0c"),
+            "1f18410823257328f3580a1e6d0acd6e20bdd49a9bbbee858ea0370458de99a1",
+            "35f58956b068a931cf73ba48d6dd94e5907ed4e9daaf40a972f4db07957bfaf4"),
         (4, 16389, 2): (
-            "51593cab03ac5849a574b454c79b025c392e36c3a3e5a11c97605047caced00e",
-            "8138e773ab92c2b944ebd00e4360aa1efeb5734b68a51c25173228e11d25eca4"),
+            "76c743f3af8f7e39a1a52a0fd6632b9b2d3fed61cb4e92f3da2b71e840f36c6c",
+            "970cfc1f9e460b486e059e159f742ed25b3175486874d15ae79d692af302e745"),
         (1.5, 8192, 3): (
-            "e1902d7e004a6e0edcf67f8c85a53933d6f83b67ef04d0020826fdeaf683d50d",
-            "4a8543e464f9b3cc722890fc3aa1f0d63162b9a71896fc4045db7eef2a2ec943"),
+            "1d1454052ec3cfec2995a260ac73fcff57831d9603fb45595a758b5a27ef8a35",
+            "2f2c473c084becd09f73fc1deedccc172e0aab1ae87da67e9c088cc91d0521e3"),
     }
 
     @staticmethod
@@ -416,15 +424,17 @@ class TestAnnealedEnginePinned:
         per_sample, hits = _annealed_return_walks(3, 60, 10000, 4)
         assert tuple(hashlib.sha256(a.tobytes()).hexdigest()
                      for a in (per_sample, hits)) == (
-            "63b9f818626c27e92f71a6a835f34c649c97416db9b17682f1cf86d22092e218",
-            "5e8541c1195e5b9c014c811e55b11a2c55cc9cb511794fcc1af456aa10eb2dee")
+            "32ef1a741dcbd7fccd265c938d8b176fd70ae5d40e89c65555badc8408b7ae91",
+            "8558912d8c5146b7f88a95141d22ebf3d8eef48544e05a44302e2160b2e22d3e")
 
 
 class TestPathKeyedTrees:
     """The engine walks _grow_star's trees: the counts it draws for a key are
     those _grow_star gives the node of that key, at every type-I node and
     bush root the walks enter (deeper bush nodes are keyed by path in the
-    engine and by draw order in _grow_star, so they are not compared)."""
+    engine and by draw order in _grow_star, so they are not compared).  Both
+    draw a type-I node's two counts from its draw 0 through the joint table,
+    and a bush root's count from its draw 0."""
 
     @staticmethod
     def reference(c, key, depth):
@@ -446,9 +456,10 @@ class TestPathKeyedTrees:
                     stack.append((w, child_key(k, i)))
         return ref
 
-    @pytest.mark.parametrize("c", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("c", [1.05, 1.5, 2.0, 4.0, 50.0])
     def test_counts_match_grow_star(self, monkeypatch, c):
-        seed, m, depth = 23, 40, 4
+        # a reference holds about c^depth nodes; at c = 50 it stops at depth 1
+        seed, m, depth = 23, 40, 4 if c < 10 else 1
         drawn = {}
 
         def recording(keys, is_i, qcdf, fcdf):
@@ -470,9 +481,10 @@ class TestPathKeyedTrees:
             assert child_key(tree_key, j) in drawn  # the walk's root
             met += [(ref[k] == v, v[0]) for k, v in drawn.items() if k in ref]
         assert all(ok for ok, _ in met)
-        # the walks met many type-I nodes and bush roots of the references
+        # the walks met many type-I nodes and bush roots of the references;
+        # at c = 50 a node has a type-F child with probability about 1e-20
         assert sum(is_i for _, is_i in met) >= 2 * m
-        assert sum(not is_i for _, is_i in met) >= 1
+        assert sum(not is_i for _, is_i in met) >= (c < 10)
 
 
 class TestDecayDiagnostic:
