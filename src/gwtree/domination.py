@@ -13,9 +13,9 @@ at parameters lam < mu together with a root-preserving node map from T
 into T', by recursing the following step over matched type-I vertices
 (u in T, v in T'):
 
-  * u takes the two-type step of the lam tree: A ~ Q*_{lam theta_lam}
-    type-I children and Poisson(lam q_lam) type-F children, the bush below
-    each grown by trees._bush at lam, the grower of sample_pgw_star;
+  * u takes sample_pgw_star's two-type step at lam, from one uniform:
+    A ~ Q*_{lam theta_lam} type-I and Poisson(lam q_lam) type-F children,
+    the bush below each grown by trees._bush;
   * each bush is marked: one of size k is shared with probability
     m_k(mu)/m_k(lam) = e^{k d}, d = (log mu - mu) - (log lam - lam), where
     m_k(nu) = nu Borel_nu(k) is the mean number of size-k bushes below a
@@ -54,7 +54,7 @@ ntype) list builders; depth is derived from parent.
 
 A pair takes its draws in traversal order from one buffer of uniforms
 refilled from substream (seed, "couple", lam, mu): at each matched pair
-the counts A and of bushes, then each bush's nodes and its mark in turn,
+one for A and the bush count, then each bush's nodes and its mark in turn,
 then V and the uniform that places H.  lo.bush_resamples counts the bushes
 resampled for passing trees.BUSH_NODE_CAP.
 """
@@ -351,7 +351,7 @@ class _CoupledSampler:
             raise ValueError(f"requires mu > lam > 1, got lam={lam}, mu={mu}")
         self.lam, self.mu = lam, mu
         pl, pm = extinction_prob(lam), extinction_prob(mu)
-        self.qcdf, self.fcdf = _star_tables(lam)
+        self.joint, self.fcdf = _star_tables(lam)
         alpha_star = alpha(pl.ctheta, pm.ctheta)
         cdf_s, self.cdf_h = _dominated_cdf_pair(pl.ctheta, alpha_star,
                                                 pm.ctheta)
@@ -371,12 +371,12 @@ class _CoupledSampler:
         root_couple = None
         resamples = 0
         stack = [(0, 0, depth)]  # (u, v, levels left below them)
-        qcdf, fcdf, vcdf, d = self.qcdf, self.fcdf, self.vcdf, self.d
+        joint, fcdf, vcdf, d = self.joint, self.fcdf, self.vcdf, self.d
         leaf = fcdf[0]  # a bush root drawing at most this has no child
         while stack:
             u, v, levels = stack.pop()
-            a = bisect_left(qcdf, draw()) + 1
-            n_f = bisect_left(fcdf, draw())
+            a, n_f = divmod(bisect_left(joint, draw()), len(fcdf))
+            a += 1
             cu = _add(lo, u, a)
             shared, extra = [], []  # (root, interior from, interior to)
             if n_f:

@@ -17,12 +17,11 @@ sampled tree invariant under deepening: sampling the same seed with a
 larger horizon reproduces the shallower tree exactly on the shared
 levels.
 
-child_keys and node_uniforms are the same two functions on numpy uint64
-key arrays, bit for bit: numpy's uint64 arithmetic wraps mod 2^64, which is
-exactly SplitMix64's.  node_bits gives the same draws as the integers x in
-[0, 2^53) with uniform x 2^-53.  The walk engine grows its trees with them:
-a type-I node draws its two child counts from its draw 0 alone, through the
-joint table of the trees module, as _grow_star does.
+child_keys and node_bits are the same two functions on numpy uint64 key
+arrays, bit for bit (numpy's uint64 arithmetic wraps mod 2^64, as
+SplitMix64's does); node_bits gives a draw as the integer x in [0, 2^53)
+whose x 2^-53 is its node_uniform.  Every path-keyed node takes one draw
+for its child counts, its draw 0: a type-I node its two counts together.
 """
 
 from __future__ import annotations
@@ -104,8 +103,3 @@ def node_bits(keys, j) -> np.ndarray:
     z = _mix_array(_offsets(j, 2) + np.asarray(keys, np.uint64))
     z >>= 11
     return z.view(np.int64)
-
-
-def node_uniforms(keys, j) -> np.ndarray:
-    """node_uniform of each uint64 key, draw j (an int or an array)."""
-    return node_bits(keys, j) * 2.0 ** -53

@@ -30,8 +30,8 @@ and keys each node's draws by its path (the counter-based rng.child_key and
 rng.node_uniform, no Generator per node), so deepening a tree (same seed,
 larger depth) reproduces the shallow tree exactly.  A type-I node draws its
 independent type-I and type-F counts from one uniform, its draw 0, through
-_joint_table, the product of the laws module's positive-Poisson and Poisson
-tables, built once per c; a type-F node's count inverts the Poisson table.
+the joint table of _star_tables(c), the one route to a type-I count in
+the package; a type-F node's count inverts the Poisson table of that call.
 Every bush (the type-F subtree below a type-F child of a type-I node) is
 grown by _bush, the one bush loop of the package, from a callable that
 hands out uniforms in turn: here the draws of the bush root's path key, one
@@ -243,25 +243,23 @@ def sample_pgw(c: float, node_cap: int, seed: int) -> RootedTree:
 
 @lru_cache(maxsize=64)
 def _star_tables(c: float) -> tuple:
-    """cdf tables of the type-I count Q*_{c theta} and of 1 + the type-F
-    count Q_{cq}."""
-    if c == 1.0:
-        return positive_poisson_cdf(0.0), poisson_cdf(1.0)
-    from .analytic import extinction_prob
-    params = extinction_prob(c)
-    return positive_poisson_cdf(params.ctheta), poisson_cdf(params.cq)
-
-
-@lru_cache(maxsize=64)
-def _joint_table(c: float) -> tuple[float, ...]:
-    """cdf table of a type-I node's independent counts (n_i, n_f) at c, in
-    lexicographic order: entry (n_i - 1) len(fcdf) + n_f, so divmod by
-    len(fcdf) decodes it.  Row n_i runs from qcdf[n_i - 2] by the type-I
-    mass times fcdf and ends at qcdf[n_i - 1] exactly."""
-    qcdf, fcdf = _star_tables(c)
-    return tuple(x for lo, hi in zip((0.0,) + qcdf, qcdf)
-                 for x in [min(lo + (hi - lo) * f, hi) for f in fcdf[:-1]]
-                 + [hi])
+    """(joint, fcdf): fcdf is the cdf table of 1 + the type-F count Q_{cq},
+    joint that of a type-I node's independent counts (n_i, n_f), the product
+    of fcdf and the Q*_{c theta} table qcdf in lexicographic order: entry
+    (n_i - 1) len(fcdf) + n_f, so divmod by len(fcdf) decodes it.  Row n_i
+    runs from qcdf[n_i - 2] by the type-I mass times fcdf and ends at
+    qcdf[n_i - 1] exactly."""
+    if c == 1.0:  # the spine limit: theta = 0, q = 1
+        ctheta, cq = 0.0, 1.0
+    else:
+        from .analytic import extinction_prob
+        params = extinction_prob(c)
+        ctheta, cq = params.ctheta, params.cq
+    qcdf, fcdf = positive_poisson_cdf(ctheta), poisson_cdf(cq)
+    joint = tuple(x for lo, hi in zip((0.0,) + qcdf, qcdf)
+                  for x in [min(lo + (hi - lo) * f, hi) for f in fcdf[:-1]]
+                  + [hi])
+    return joint, fcdf
 
 
 def _add(t: tuple, p: int, n: int, ntype: int = TYPE_I) -> int:
@@ -321,18 +319,17 @@ def _grow_star(t: tuple, v: int, levels: int, key: int, c: float) -> int:
     law at c, and its type-I descendants down to the given number of levels
     below v; the type-I children made past that level stay open.  A type-I
     node x draws its type-I and type-F counts together from
-    node_uniform(key_x, 0) through _joint_table, where key_x is key at v and
-    child_key(key_x, i) at its i-th child; the bush below its j-th child
+    node_uniform(key_x, 0) through the joint table, where key_x is key at v
+    and child_key(key_x, i) at its i-th child; the bush below its j-th child
     grows from node_uniform(child_key(key_x, j), 0), (..., 1), ... in turn.
     Returns the number of bushes resampled for passing BUSH_NODE_CAP."""
-    fcdf = _star_tables(c)[1]
-    joint, width = _joint_table(c), len(fcdf)
+    joint, fcdf = _star_tables(c)
     leaf = fcdf[0]  # a bush root drawing at most this has no child
     resamples = 0
     stack = [(v, key, levels)]  # (type-I node, key, levels left below it)
     while stack:
         x, key, levels = stack.pop()
-        n_i, n_f = divmod(bisect_left(joint, node_uniform(key, 0)), width)
+        n_i, n_f = divmod(bisect_left(joint, node_uniform(key, 0)), len(fcdf))
         n_i += 1
         w = _add(t, x, n_i)
         if n_f:
@@ -430,12 +427,16 @@ def tree_to_text(t: RootedTree) -> str:
 
 def _fields(row: list[str]) -> tuple | None:
     """(id, parent-id, type, N) of a line's fields, or None unless there
-    are four and the id and parent-id read as ints and N as a float."""
+    are four, the ids read as int64s and N as inf or a whole number >= 1."""
     try:
         v, p, ch, size = row
-        return int(v), int(p), ch, float(size)
+        v, p, size = int(v), int(p), float(size)
     except ValueError:
         return None
+    if (-2**63 <= min(v, p) and max(v, p) < 2**63
+            and (size == math.inf or size >= 1 and size.is_integer())):
+        return v, p, ch, size
+    return None
 
 
 def tree_from_text(text: str) -> RootedTree:

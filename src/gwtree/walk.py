@@ -29,8 +29,8 @@ deep to be back at the root by step K: they add nothing more, and their
 step draws are still taken, so those of the others do not move.  Walks go
 in chunks of 8192, each drawing its step choices from its own substream;
 an executor walks the chunks at once, one task each, so the output does
-not depend on the pool.
-Both walk engines invert the laws module's tables for all offspring counts.
+not depend on the pool.  The killed walk reads its uniforms in turn from
+one key, and grows each node past the frontier from one of them, as here.
 """
 
 from __future__ import annotations
@@ -39,14 +39,15 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from itertools import count, repeat
 
 import numpy as np
 
 from .analytic import expected_log_degree, extinction_prob
 from .laws import stack_index, stack_thresholds
 from .reports import EstimateReport
-from .rng import child_keys, derive_seed, node_bits, substream
-from .trees import TYPE_F, TYPE_I, RootedTree, _joint_table, _star_tables
+from .rng import child_keys, derive_seed, node_bits, node_uniform, substream
+from .trees import TYPE_F, TYPE_I, RootedTree, _star_tables
 
 __all__ = [
     "ReturnProfile",
@@ -182,13 +183,14 @@ def killed_walk_visits(t: RootedTree, s: float, seed: int,
                 f"needs depth >= {required_depth_for_killed_walk(s)} "
                 "(or pass grow=c for lazy extension)")
     else:
-        qcdf, fcdf = _star_tables(grow)
+        joint, fcdf = _star_tables(grow)
 
-    rng = substream(seed, "killedwalk")
+    draw = map(node_uniform, repeat(derive_seed(seed, "killedwalk")),
+               count()).__next__
     parent, types = t.parent.tolist(), t.ntype.tolist()
     kids: dict = {}  # the children of each node the walk has met
     cur, visits = t.root, 1
-    while rng.random() < s:
+    while draw() < s:
         ch = kids.get(cur)
         if ch is None:
             if cur < len(t) and not t.open_[cur]:
@@ -198,14 +200,15 @@ def killed_walk_visits(t: RootedTree, s: float, seed: int,
                 raise RuntimeError("walk reached the frontier of a tree "
                                    "sampled without lazy growth")
             else:
-                n_i = (bisect_left(qcdf, rng.random()) + 1
-                       if types[cur] == TYPE_I else 0)
-                n = n_i + bisect_left(fcdf, rng.random())
-                ch = range(len(parent), len(parent) + n)
-                parent += [cur] * n
-                types += [TYPE_I] * n_i + [TYPE_F] * (n - n_i)
+                is_i = types[cur] == TYPE_I  # type F decodes to n_i = 0
+                n_i, n_f = divmod(bisect_left(joint if is_i else fcdf,
+                                              draw()), len(fcdf))
+                n_i += is_i
+                ch = range(len(parent), len(parent) + n_i + n_f)
+                parent += [cur] * (n_i + n_f)
+                types += [TYPE_I] * n_i + [TYPE_F] * n_f
             kids[cur] = ch
-        step = int(rng.integers(len(ch) + (cur != t.root)))
+        step = int(draw() * (len(ch) + (cur != t.root)))
         cur = ch[step] if step < len(ch) else parent[cur]
         if cur == t.root:
             visits += 1
@@ -218,11 +221,11 @@ def killed_walk_visits(t: RootedTree, s: float, seed: int,
 
 @lru_cache(maxsize=64)
 def _count_tables(c: float) -> tuple:
-    """The stacked thresholds of _joint_table(c) (type-I nodes) and of the
-    type-F table (type-F nodes), and the type-I and child counts of each
-    entry: divmod by the type-F table's length, plus (1, 0), in the joint
-    segment, and (0, the entry's place) in the type-F one."""
-    fcdf, joint = _star_tables(c)[1], _joint_table(c)
+    """The stacked thresholds of the joint table (type-I nodes) and of the
+    type-F table (type-F nodes) of _star_tables(c), and the type-I and child
+    counts of each entry: divmod by the type-F table's length, plus (1, 0),
+    in the joint segment, and (0, the entry's place) in the type-F one."""
+    joint, fcdf = _star_tables(c)
     n_i, n_f = np.divmod(np.arange(len(joint)), len(fcdf))
     f = np.arange(len(fcdf))
     counts = (np.r_[n_i + 1, 0 * f].astype(_COUNT),

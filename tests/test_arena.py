@@ -175,11 +175,12 @@ class TestSamplersPinned:
     """Digests of parent, ntype, depth and open_ (and of the sorted node map)
     of the trees the list builders make.  sample_pgw_star draws a type-I
     node's two counts from its draw 0 through the joint table and grows each
-    bush from its root's path key, the coupled pairs mark the bushes of their
-    lam side; the pairs are pinned as built with their mu-only subtrees open,
-    then with hi completed by path-keyed draws.  sample_uniform_rooted_tree
-    builds its trees breadth first from the cycle-lemma rotation of
-    multinomial child counts."""
+    bush from its root's path key, the coupled pairs draw a lam node's two
+    counts from one uniform through the same table and mark the bushes of
+    their lam side; the pairs are pinned as built with their mu-only
+    subtrees open, then with hi completed by path-keyed draws.
+    sample_uniform_rooted_tree builds its trees breadth first from the
+    cycle-lemma rotation of multinomial child counts."""
 
     @pytest.mark.parametrize("seed, capped, want", [
         (0, True, "e8435bca667ebdcf"), (1, True, "0d8fdfe71a9b3569"),
@@ -201,12 +202,12 @@ class TestSamplersPinned:
         assert tree_digest(sample_uniform_rooted_tree(200, seed)) == want
 
     @pytest.mark.parametrize("seed, want", [
-        (0, ("4cc75a0911421aac", "ed4e307f0cd77acd", "66f582607444e318",
-             "7b2799bae158c7d2")),
-        (1, ("8cb0068231670e4c", "0f72e37bffc293bb", "afa4af6786ae2dd7",
-             "ff5d718d2c28c0a9")),
-        (2, ("54d7335987429095", "bfef712bab95d2b3", "7a9a4bfaa3ec69ef",
-             "6238f6efd6ec8330"))])
+        (0, ("8fdb8c301c12f1ab", "de1f3d547ea66ee4", "d6f31fb4b42f7b42",
+             "65f784d113a8191e")),
+        (1, ("56ce87154fc9f486", "43b027e6911cd457", "d2c44159148812d1",
+             "f8173231a683efb6")),
+        (2, ("14f92abbe316a92f", "7754fedc51369a98", "b72d87a97c643a40",
+             "d618436976dce16c"))])
     def test_coupled(self, seed, want):
         pair = sample_coupled_trees(1.5, 2.0, 6, seed)
         assert all(type(x) is int for item in pair.node_map.items()
@@ -226,14 +227,14 @@ class TestSamplersPinned:
     @pytest.mark.parametrize("lam, mu, depth, seed, cap, want", [
         # near lam = 1 a lam bush passes a cap of 2 nodes often
         (1.01, 1.5, 3, 5, 2, (
-            (6, 7, 1), ("fc74e9a1675ebb78", "2645d501a160d79a",
-                        "934c5a9fbff8d24c", "2645d501a160d79a"),
-            OffspringCouple({}, {}, 1, 1))),
+            (8, 9, 1), ("4726a78ec57f12a4", "180e08a348183b35",
+                        "09d1783e2a3311e8", "180e08a348183b35"),
+            OffspringCouple({1: 1}, {1: 1}, 1, 1))),
         # a near-critical pair of 150 + 150 nodes, its bushes all shared
         (1.005, 1.01, 3, 1, trees.BUSH_NODE_CAP, (
-            (150, 150, 0), ("fc6966bdd51281a5", "fc6966bdd51281a5",
-                            "c90135d7f502deb1", "fc6966bdd51281a5"),
-            OffspringCouple({2: 1}, {2: 1}, 1, 1)))])
+            (150, 150, 0), ("d534e5c213832a3b", "d534e5c213832a3b",
+                            "c90135d7f502deb1", "d534e5c213832a3b"),
+            OffspringCouple({}, {}, 1, 1)))])
     def test_coupled_off_the_common_path(self, monkeypatch, lam, mu, depth,
                                          seed, cap, want):
         monkeypatch.setattr(trees, "BUSH_NODE_CAP", cap)

@@ -197,7 +197,7 @@ class TestReproducibility:
                      "--seed", "0"]) == 0
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == (
-            "ecf5404f8d9f816c840502dc809d4f7300a30350a1f34a44bb3c4050a7e42275")
+            "c5b45a125166f85861e6d6169c57b04e983e86d8c703f200aba2b5eabe2b8f05")
 
     def test_config_embedded(self, tmp_path):
         _, out = run(tmp_path, "r.json",

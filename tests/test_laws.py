@@ -1,5 +1,6 @@
 """Laws: log-pmfs, cdf tables and their closing rule, quantile lookup."""
 
+import ast
 import math
 import pathlib
 from bisect import bisect_left
@@ -95,7 +96,7 @@ class TestStackIndex:
 
     @pytest.mark.parametrize("c", [1.0001, 1.05, 2.0, 4.0, 50.0, 1e5])
     def test_equals_bisect_left(self, c):
-        joint, fcdf = trees._joint_table(c), trees._star_tables(c)[1]
+        joint, fcdf = trees._star_tables(c)
         assert joint[-2] == 1.0  # trailing 1.0 entries
         stack = stack_thresholds(joint, fcdf)
         assert stack.dtype == np.int64 and np.all(np.diff(stack) >= 0)
@@ -123,3 +124,25 @@ def test_laws_is_the_one_poisson_source():
              for i, line in enumerate(f.read_text().splitlines(), 1)
              if ".poisson(" in line]
     assert calls == []
+
+
+def test_one_positive_poisson_table_per_use():
+    # a type-I count is drawn only through trees' two-type tables; the only
+    # other positive-Poisson table is the coupling's hi side
+    src = pathlib.Path(gwtree.__file__).parent
+    callers = set()
+    for f in sorted(src.glob("*.py")):
+        if f.name == "laws.py":
+            continue
+        tree = ast.parse(f.read_text())
+        defs = [d for d in ast.walk(tree) if isinstance(d, ast.FunctionDef)]
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and "positive_poisson_cdf" in (
+                    getattr(call.func, "id", None),
+                    getattr(call.func, "attr", None)):
+                inner = max((d for d in defs if d.lineno <= call.lineno
+                             <= d.end_lineno), key=lambda d: d.lineno,
+                            default=None)
+                callers.add(f"{f.stem}.{getattr(inner, 'name', '<module>')}")
+    assert callers == {"trees._star_tables",
+                       "domination._dominated_cdf_pair"}

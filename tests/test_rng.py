@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gwtree.rng import (child_key, child_keys, derive_seed, node_uniform,
-                        node_uniforms)
+from gwtree.rng import (child_key, child_keys, derive_seed, node_bits,
+                        node_uniform)
 
 
 class TestDeriveSeed:
@@ -30,8 +30,9 @@ class TestDeriveSeed:
 
 
 class TestVectorKernel:
-    """child_keys and node_uniforms are child_key and node_uniform on uint64
-    arrays, bit for bit, with no overflow warning from numpy."""
+    """child_keys and node_bits are child_key and node_uniform on uint64
+    arrays, bit for bit (node_bits times 2^-53), with no overflow warning
+    from numpy."""
 
     EDGES = [0, 2**63 - 1, 2**64 - 1]
     KEYS = st.lists(st.integers(0, 2**64 - 1), max_size=40)
@@ -41,7 +42,8 @@ class TestVectorKernel:
         arr = np.array(keys, np.uint64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return child_keys(arr, i).tolist(), node_uniforms(arr, i).tolist()
+            return (child_keys(arr, i).tolist(),
+                    (node_bits(arr, i) * 2.0 ** -53).tolist())
 
     @given(KEYS, st.integers(0, 2**20))
     @example([], 2**20)
