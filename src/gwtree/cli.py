@@ -4,23 +4,23 @@
 
 Subcommands: params, bounds, verify-domination, couple, returns,
 estimate-f, empirical-f, decay, crosscheck.  Each is one _COMMANDS entry
-(help, runner, CSV columns, fields), from which come the parser, the
-config-file keys, the defaults, the field checks and the embedded config.
-A config file is flat `key = value` text setting the command's own keys or
-format, seed, out and workers; explicit flags override it.  Flags and file
-values are read alike, so both embed grid fields as given and scalar fields
-as read.  Output is one JSON document or a CSV table (frozen column order
-per subcommand, documented in the README) embedding the resolved config and
-the code version.  Identical config + seed gives byte-identical output
-files; nothing is written on failure.
+(help, runner, fields), from which come the parser, the config-file keys,
+the defaults, the field checks and the embedded config.  A config file is
+flat `key = value` text setting the command's own keys or format, seed, out
+and workers; explicit flags override it.  Flags and file values are read
+alike, so both embed grid fields as given and scalar fields as read.
+Output is one JSON document or a CSV table (its columns the keys of the
+runner's rows, in their order, documented in the README) embedding the
+resolved config and the code version.  Identical config + seed gives
+byte-identical output files; nothing is written on failure.
 
 All randomness flows from the single --seed through named substreams, so
 grid points, repetitions and walk chunks are reproducible independently of
 the worker pool (--workers, default GWTREE_THREADS or the CPU count, never
-above it).  A command opens one pool: the walk commands split each c's walk
-chunks over it, empirical-f its grid points.  A config that cannot run exits
-with status 2 before any work starts; a failure while a command runs exits
-with status 3.  Either way the error is one line.
+above it).  Only the walk commands open a pool, and split each c's walk
+chunks over it; the others run in this process.  A config that cannot run
+exits with status 2 before any work starts; a failure while a command runs
+exits with status 3.  Either way the error is one line.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ def _validated_inputs(cmd: str, cfg: dict) -> dict:
         if not mu > lam:
             raise ConfigError(f"lam/mu: need mu > lambda, got {lam}, {mu}")
         try:
-            domination._coupled_sampler(lam, mu)
+            domination._coupling_tables(lam, mu)
         except ArithmeticError as exc:
             raise ConfigError(
                 f"lam/mu: cannot couple at {lam}, {mu}: {exc}") from None
@@ -335,17 +335,12 @@ def _run_estimate_f(v):
 
 
 def _run_empirical_f(v):
-    cs, k = v["c"], len(v["c"])
-    seeds = [derive_seed(v["seed"], "empirical_f", c) for c in cs]
-    # spanning imports scipy on first use: once here, not in every worker
-    import scipy.linalg.lapack  # noqa: F401
-    import scipy.sparse.csgraph  # noqa: F401
-    with _pool(min(v["workers"], k)) as ex:
-        reps = list((ex.map if ex else map)(spanning.empirical_f, [v["n"]] * k,
-                                            cs, [v["reps"]] * k, seeds))
-    rows = [{"c": c, "n": v["n"], "reps": r.n_samples, "value": r.value,
-             "stderr": r.stderr, "seed": r.seed}
-            for c, r in zip(cs, reps)]
+    rows = []
+    for c in v["c"]:
+        r = spanning.empirical_f(v["n"], c, v["reps"],
+                                 derive_seed(v["seed"], "empirical_f", c))
+        rows.append({"c": c, "n": v["n"], "reps": r.n_samples,
+                     "value": r.value, "stderr": r.stderr, "seed": r.seed})
     return rows, {}
 
 
@@ -375,22 +370,17 @@ def _run_crosscheck(v):
 class _Command(NamedTuple):
     help: str
     run: Callable
-    columns: tuple
     fields: dict
 
 
 _COMMANDS = {
     "params": _Command(
         "extinction/survival probabilities", _run_params,
-        ("c", "q", "theta", "duality_residual"),
         {"c": _C_GRID, "tol": _Field(float, 1e-12, lambda v: 0 < v <= 1e-6,
                                      "must lie in (0, 1e-6]")}),
-    "bounds": _Command(
-        "entropy bounds grid", _run_bounds,
-        ("c", "f_lower", "f_upper", "fprime_lower"), {"c": _C_GRID}),
+    "bounds": _Command("entropy bounds grid", _run_bounds, {"c": _C_GRID}),
     "verify-domination": _Command(
         "exact offspring tail-domination check", _run_verify_domination,
-        ("lambda", "mu", "beta", "kmax", "min_margin", "violated_at"),
         {"lam": _Field(str, check=math.isfinite, msg="must be finite",
                        grid=True, help="comma-separated lambda grid"),
          "mu": _Field(str, check=math.isfinite, msg="must be finite",
@@ -401,30 +391,23 @@ _COMMANDS = {
          "kmax": _Field(int, 200, lambda v: v >= 50, "must be >= 50")}),
     "couple": _Command(
         "coupled tree pairs with audit", _run_couple,
-        ("sample", "lo_nodes", "hi_nodes", "le1_ok", "embedding_ok"),
         {"lam": _C, "mu": _C,
          "depth": _Field(int, 6, lambda v: v >= 1, "must be >= 1"),
          "samples": _Field(int, 8, lambda v: v >= 1, "must be >= 1")}),
     "returns": _Command(
         "Monte Carlo truncated return integral", _run_returns,
-        ("c", "K", "n_samples", "value", "stderr", "seed"),
         {"c": _C_GRID, "K": _K, "samples": _WALKS}),
     "estimate-f": _Command(
         "entropy estimate via the walk pipeline", _run_estimate_f,
-        ("c", "K", "n_samples", "value", "stderr", "elog_deg",
-         "return_integral", "seed"),
         {"c": _C_GRID, "K": _K, "samples": _WALKS}),
     "empirical-f": _Command(
         "entropy estimate via giant-component counting", _run_empirical_f,
-        ("c", "n", "reps", "value", "stderr", "seed"),
         {"c": _C_GRID, "n": _N, "reps": _REPS}),
     "decay": _Command(
         "annealed return-probability decay table", _run_decay,
-        ("k", "pbar", "stderr"), {"c": _C, "K": _K, "samples": _WALKS}),
+        {"c": _C, "K": _K, "samples": _WALKS}),
     "crosscheck": _Command(
         "both entropy pipelines and their discrepancy", _run_crosscheck,
-        ("c", "walk_value", "walk_stderr", "spanning_value",
-         "spanning_stderr", "discrepancy"),
         {"c": _C, "n": _N, "reps": _REPS, "samples": _WALKS, "K": _K}),
 }
 
@@ -449,11 +432,9 @@ def _render_csv(cmd, cfg, rows, extra) -> str:
     for key, val in sorted(extra.items()):
         if key != "samples_detail":
             buf.write(f"# {key}={val}\n")
-    cols = _COMMANDS[cmd].columns
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(cols)
-    for row in rows:
-        writer.writerow([row.get(col, "") for col in cols])
+    writer.writerow(rows[0])
+    writer.writerows(row.values() for row in rows)
     return buf.getvalue()
 
 

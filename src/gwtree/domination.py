@@ -342,101 +342,33 @@ def check_le1(lo: RootedTree, hi: RootedTree) -> bool:
     return _le1(lo, hi, np.array([lo.root]), np.array([hi.root]))
 
 
-class _CoupledSampler:
-    """Precomputed tables for one (lam, mu) pair; see the module docstring
-    for the per-vertex coupling step."""
-
-    def __init__(self, lam: float, mu: float):
-        if not (mu > lam > 1.0):
-            raise ValueError(f"requires mu > lam > 1, got lam={lam}, mu={mu}")
-        self.lam, self.mu = lam, mu
-        pl, pm = extinction_prob(lam), extinction_prob(mu)
-        self.joint, self.fcdf = _star_tables(lam)
-        alpha_star = alpha(pl.ctheta, pm.ctheta)
-        cdf_s, self.cdf_h = _dominated_cdf_pair(pl.ctheta, alpha_star,
-                                                pm.ctheta)
-        self.cdf_s = (0.0, *cdf_s)  # F_S(k) at index k >= 0, up to its end
-        self.vcdf = poisson_cdf(alpha_star - (pl.cq - pm.cq))
-        self.d = (math.log(mu) - mu) - (math.log(lam) - lam)
-
-    def sample(self, depth: int, seed: int) -> CoupledPair:
-        rng = substream(seed, "couple", self.lam, self.mu)
-        # the stream's uniforms in order, 256 at a time
-        draw = chain.from_iterable(
-            iter(lambda: rng.random(256).tolist(), None)).__next__
-        # arena lists (parent, ntype), each from the root
-        lo, hi = ([-1], [TYPE_I]), ([-1], [TYPE_I])
-        lo_parent, lo_types = lo
-        node_map = {0: 0}
-        root_couple = None
-        resamples = 0
-        stack = [(0, 0, depth)]  # (u, v, levels left below them)
-        joint, fcdf, vcdf, d = self.joint, self.fcdf, self.vcdf, self.d
-        leaf = fcdf[0]  # a bush root drawing at most this has no child
-        while stack:
-            u, v, levels = stack.pop()
-            a, n_f = divmod(bisect_left(joint, draw()), len(fcdf))
-            a += 1
-            cu = _add(lo, u, a)
-            shared, extra = [], []  # (root, interior from, interior to)
-            if n_f:
-                _add(lo, u, n_f, TYPE_F)
-                for b in range(cu + a, cu + a + n_f):
-                    w = len(lo_parent)
-                    x = draw()
-                    if x > leaf:
-                        resamples += _bush(lo, b, fcdf, draw, x)
-                    e = len(lo_parent)
-                    mark = draw() < math.exp((1 + e - w) * d)
-                    (shared if mark else extra).append((b, w, e))
-            s = a + len(extra) + bisect_left(vcdf, draw())
-            h = self._h(s, draw())
-            # a matched children, the images of the extra roots, then the
-            # spare ones, left open
-            cv = _add(hi, v, h)
-            for i in range(a):
-                node_map[cu + i] = cv + i
-                if levels:  # else the children stay open stubs
-                    stack.append((cu + i, cv + i, levels - 1))
-            for image, (b, _, _) in enumerate(extra, cv + a):
-                node_map[b] = image
-            if shared:  # copied node for node
-                bv = _add(hi, v, len(shared), TYPE_F)
-                for b, w, e in shared:
-                    node_map[b] = bv
-                    if e > w:
-                        shift = len(hi[0]) - w
-                        node_map.update(zip(range(w, e),
-                                            range(w + shift, e + shift)))
-                        hi[0].extend([bv if p == b else p + shift
-                                      for p in lo_parent[w:e]])
-                        hi[1].extend(lo_types[w:e])
-                    bv += 1
-            if u == 0:
-                root_couple = OffspringCouple(
-                    n_fin_lo=dict(Counter(1 + e - w for _, w, e in
-                                          shared + extra)),
-                    n_fin_hi=dict(Counter(1 + e - w for _, w, e in shared)),
-                    n_inf_lo=a, n_inf_hi=h)
-        return CoupledPair(_arena(lo, resamples), _arena(hi), node_map,
-                           root_couple, self.lam, self.mu, depth, seed)
-
-    def _h(self, s: int, unif: float) -> int:
-        """The hi type-I count coupled to S = s: the hi table's quantile at
-        F_S(s - 1) + (1 - unif) (F_S(s) - F_S(s - 1)), at least s even where
-        rounding closes that interval or s is past the end of the table."""
-        cdf_s = self.cdf_s
-        if s < len(cdf_s):
-            below, at = cdf_s[s - 1], cdf_s[s]
-        else:
-            below = at = cdf_s[-1]
-        k = bisect_left(self.cdf_h, below + (1.0 - unif) * (at - below)) + 1
-        return k if k > s else s
-
-
 @lru_cache(maxsize=16)
-def _coupled_sampler(lam: float, mu: float) -> _CoupledSampler:
-    return _CoupledSampler(lam, mu)
+def _coupling_tables(lam: float, mu: float) -> tuple:
+    """The tables of the coupling step at (lam, mu) (see the module
+    docstring): the joint and type-F tables of the lam step, F_S(k) at index
+    k >= 0 up to the end of its table, the hi type-I table clamped below it,
+    the cdf of V, and the log mark ratio d."""
+    if not (mu > lam > 1.0):
+        raise ValueError(f"requires mu > lam > 1, got lam={lam}, mu={mu}")
+    pl, pm = extinction_prob(lam), extinction_prob(mu)
+    joint, fcdf = _star_tables(lam)
+    alpha_star = alpha(pl.ctheta, pm.ctheta)
+    cdf_s, cdf_h = _dominated_cdf_pair(pl.ctheta, alpha_star, pm.ctheta)
+    return (joint, fcdf, (0.0, *cdf_s), cdf_h,
+            poisson_cdf(alpha_star - (pl.cq - pm.cq)),
+            (math.log(mu) - mu) - (math.log(lam) - lam))
+
+
+def _h(cdf_s: tuple, cdf_h: tuple, s: int, unif: float) -> int:
+    """The hi type-I count coupled to S = s: the hi table's quantile at
+    F_S(s - 1) + (1 - unif) (F_S(s) - F_S(s - 1)), at least s even where
+    rounding closes that interval or s is past the end of the table."""
+    if s < len(cdf_s):
+        below, at = cdf_s[s - 1], cdf_s[s]
+    else:
+        below = at = cdf_s[-1]
+    k = bisect_left(cdf_h, below + (1.0 - unif) * (at - below)) + 1
+    return k if k > s else s
 
 
 def sample_coupled_trees(lam: float, mu: float, depth: int,
@@ -448,4 +380,63 @@ def sample_coupled_trees(lam: float, mu: float, depth: int,
     them to the horizon."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    return _coupled_sampler(lam, mu).sample(depth, seed)
+    joint, fcdf, cdf_s, cdf_h, vcdf, d = _coupling_tables(lam, mu)
+    rng = substream(seed, "couple", lam, mu)
+    # the stream's uniforms in order, 256 at a time
+    draw = chain.from_iterable(
+        iter(lambda: rng.random(256).tolist(), None)).__next__
+    # arena lists (parent, ntype), each from the root
+    lo, hi = ([-1], [TYPE_I]), ([-1], [TYPE_I])
+    lo_parent, lo_types = lo
+    node_map = {0: 0}
+    root_couple = None
+    resamples = 0
+    stack = [(0, 0, depth)]  # (u, v, levels left below them)
+    leaf = fcdf[0]  # a bush root drawing at most this has no child
+    while stack:
+        u, v, levels = stack.pop()
+        a, n_f = divmod(bisect_left(joint, draw()), len(fcdf))
+        a += 1
+        cu = _add(lo, u, a)
+        shared, extra = [], []  # (root, interior from, interior to)
+        if n_f:
+            _add(lo, u, n_f, TYPE_F)
+            for b in range(cu + a, cu + a + n_f):
+                w = len(lo_parent)
+                x = draw()
+                if x > leaf:
+                    resamples += _bush(lo, b, fcdf, draw, x)
+                e = len(lo_parent)
+                mark = draw() < math.exp((1 + e - w) * d)
+                (shared if mark else extra).append((b, w, e))
+        s = a + len(extra) + bisect_left(vcdf, draw())
+        h = _h(cdf_s, cdf_h, s, draw())
+        # a matched children, the images of the extra roots, then the
+        # spare ones, left open
+        cv = _add(hi, v, h)
+        for i in range(a):
+            node_map[cu + i] = cv + i
+            if levels:  # else the children stay open stubs
+                stack.append((cu + i, cv + i, levels - 1))
+        for image, (b, _, _) in enumerate(extra, cv + a):
+            node_map[b] = image
+        if shared:  # copied node for node
+            bv = _add(hi, v, len(shared), TYPE_F)
+            for b, w, e in shared:
+                node_map[b] = bv
+                if e > w:
+                    shift = len(hi[0]) - w
+                    node_map.update(zip(range(w, e),
+                                        range(w + shift, e + shift)))
+                    hi[0].extend([bv if p == b else p + shift
+                                  for p in lo_parent[w:e]])
+                    hi[1].extend(lo_types[w:e])
+                bv += 1
+        if u == 0:
+            root_couple = OffspringCouple(
+                n_fin_lo=dict(Counter(1 + e - w for _, w, e in
+                                      shared + extra)),
+                n_fin_hi=dict(Counter(1 + e - w for _, w, e in shared)),
+                n_inf_lo=a, n_inf_hi=h)
+    return CoupledPair(_arena(lo, resamples), _arena(hi), node_map,
+                       root_couple, lam, mu, depth, seed)

@@ -139,11 +139,15 @@ def return_sum(t: RootedTree, K: int) -> float:
     return float(np.sum(profile.probs / ks))
 
 
+def _check_s(s: float) -> None:
+    if not (0.0 < s < 1.0):
+        raise ValueError(f"s must lie in (0, 1), got {s}")
+
+
 def green_value(t: RootedTree, s: float, K: int) -> float:
     """sum_{k=0..K} p_k s^k; the truncation error is at most
     green_truncation_bound(s, K)."""
-    if not (0.0 < s < 1.0):
-        raise ValueError(f"s must lie in (0, 1), got {s}")
+    _check_s(s)
     profile = return_probs(t, K)
     powers = s ** np.arange(1, K + 1)
     return 1.0 + float(np.sum(profile.probs * powers))
@@ -151,12 +155,14 @@ def green_value(t: RootedTree, s: float, K: int) -> float:
 
 def green_truncation_bound(s: float, K: int) -> float:
     """Upper bound s^K/(1-s) on the mass dropped past K (p_k <= 1)."""
+    _check_s(s)
     return s ** K / (1.0 - s)
 
 
 def required_depth_for_killed_walk(s: float) -> int:
     """Depth at which the killed walk dies before the frontier except with
     probability below 1e-6."""
+    _check_s(s)
     return math.ceil(math.log(1e6) / math.log(1.0 / s))
 
 
@@ -171,10 +177,10 @@ def killed_walk_visits(t: RootedTree, s: float, seed: int,
     annealed semantics), or the tree must be deep enough that the walk dies
     first with probability >= 1 - 1e-6 (depth >=
     required_depth_for_killed_walk(s)).  A step draws survival, then the
-    counts of a node met the first time, then the move.
+    counts of a node met the first time, then the move.  A walk at a
+    childless root has nowhere to go and ends with its one visit.
     """
-    if not (0.0 < s < 1.0):
-        raise ValueError(f"s must lie in (0, 1), got {s}")
+    _check_s(s)
     if grow is None:
         spec_d = t.specified_depth()
         if spec_d < required_depth_for_killed_walk(s):
@@ -208,6 +214,8 @@ def killed_walk_visits(t: RootedTree, s: float, seed: int,
                 parent += [cur] * (n_i + n_f)
                 types += [TYPE_I] * n_i + [TYPE_F] * n_f
             kids[cur] = ch
+        if not ch and cur == t.root:
+            break
         step = int(draw() * (len(ch) + (cur != t.root)))
         cur = ch[step] if step < len(ch) else parent[cur]
         if cur == t.root:

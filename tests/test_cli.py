@@ -158,6 +158,54 @@ class TestVerifyDomination:
         assert header == "lambda,mu,beta,kmax,min_margin,violated_at"
 
 
+# One small config per command, each run at --seed 3 --workers 1, and the
+# sha256 of its stdout as json, then as csv.
+_PINNED_RUNS = {
+    "params": ("--c 1.5,2,4",
+        "415ccdacb6fa566cfed79f9b12bac33a4e8188e077ce1c83d33ea1c815099d6d",
+        "99a2146520ca0cfb30195708946bab0d65ab5d67e7db6edc5338df60e34c0417"),
+    "bounds": ("--c 1.5,2,4",
+        "52edf8eb16a62379650a3597129cc406d75e5f5945246497b94735323e73d41e",
+        "9eb50b3f1a7eb5f7c9c22994e67465b6673327dd1a69ec57374eb4fb1146ded3"),
+    "verify-domination": ("--lambda 1.1,2 --mu 1.5,3 --kmax 50",
+        "f45eb5328f29779a80019b4a820c267f02a1104ddc7194f4a66ca0e6bd344630",
+        "fe7f34f97a7e1ab6a5989a41dfeec15a8e095410b09ae6b9f8aba4a4b9a2e502"),
+    "couple": ("--lambda 1.2 --mu 1.5 --depth 2 --samples 2",
+        "76e00512bd700968d69ebe184a4610fafe4cc5f4ba7b487598f780fd529ad290",
+        "35834327e6ce2ffb5ac53f6576a18d2c7e852182c094c89145de93a672cd037f"),
+    "returns": ("--c 2,3 --K 20 --samples 2000",
+        "42daec65b1fc90f4787365a269038b3d475835e7591151a840d8d7049cd0e1ed",
+        "91e4b228cf8940aa56259d5d9a7cfb789e470fcf5924b9aca8b993947ebfb49b"),
+    "estimate-f": ("--c 2 --K 20 --samples 2000",
+        "be446e3b59f1e61548f5ea29c565f1d95bcb0e469dab7c33955dc8fd9a2644e1",
+        "dc691d52f4fc7a835052075fa1d87ed24697770e222dd328f31386c86942c376"),
+    "empirical-f": ("--c 2,4 --n 300 --reps 2",
+        "dd29c2595046c59567c99b2953c024e8a463b841a4bd76c5967bdb44e6b0930d",
+        "3ce5748dfed07b7f83ae5c3ba5c467fed6ff6e884e7ed9eb95e9fdf3f8df7cbb"),
+    "decay": ("--c 2 --K 20 --samples 2000",
+        "f41a5bec42d7dcde546f47e03159468213eb2a857c798f60c1b73ac4cefd2292",
+        "3abf09fd00523abcebd0cb38a280b61347b2c0590920760ab8069b577589b120"),
+    "crosscheck": ("--c 3 --n 300 --reps 2 --K 20 --samples 2000",
+        "905a41afd26a69efd50ab062a68f63a15e12f056db2e48cf2bbcb12e2cd76139",
+        "2be089e3f6247862dd750608242a61bb54d4443ce9bb2fb408df4f39f48f02e5"),
+}
+
+# the README's table of CSV columns, which is frozen
+_README_COLUMNS = {
+    "params": "c, q, theta, duality_residual",
+    "bounds": "c, f_lower, f_upper, fprime_lower",
+    "verify-domination": "lambda, mu, beta, kmax, min_margin, violated_at",
+    "couple": "sample, lo_nodes, hi_nodes, le1_ok, embedding_ok",
+    "returns": "c, K, n_samples, value, stderr, seed",
+    "estimate-f": ("c, K, n_samples, value, "
+                   "stderr, elog_deg, return_integral, seed"),
+    "empirical-f": "c, n, reps, value, stderr, seed",
+    "decay": "k, pbar, stderr",
+    "crosscheck": ("c, walk_value, walk_stderr, "
+                   "spanning_value, spanning_stderr, discrepancy"),
+}
+
+
 class TestReproducibility:
     def test_byte_identical_reruns(self, tmp_path):
         argv = ["estimate-f", "--c", "2", "--K", "20", "--samples", "3000",
@@ -198,6 +246,20 @@ class TestReproducibility:
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == (
             "c5b45a125166f85861e6d6169c57b04e983e86d8c703f200aba2b5eabe2b8f05")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("cmd", _PINNED_RUNS)
+    def test_stdout_pinned(self, capsys, cmd, fmt):
+        args, *digests = _PINNED_RUNS[cmd]
+        assert main([cmd, *args.split(), "--format", fmt, "--seed", "3",
+                     "--workers", "1"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            digests[("json", "csv").index(fmt)])
+        if fmt == "csv":
+            header = next(ln for ln in out.splitlines()
+                          if not ln.startswith("#"))
+            assert header == _README_COLUMNS[cmd].replace(", ", ",")
 
     def test_config_embedded(self, tmp_path):
         _, out = run(tmp_path, "r.json",

@@ -16,7 +16,7 @@ from gwtree import (TYPE_F, TYPE_I, alpha, check_le1, conv_pmf, degree_pmf,
                     sample_dominated_offspring_many, sample_pgw_star,
                     subtree_stats, verify_tail_domination)
 from gwtree import trees
-from gwtree.domination import TailReport, _CoupledSampler
+from gwtree.domination import TailReport, _coupling_tables, _h
 from gwtree.laws import log_conv, poisson_cdf
 from gwtree.rng import derive_seed
 from gwtree.trees import RootedTree, _bush
@@ -342,14 +342,13 @@ class TestMarking:
             assert chi2.sf(stat, len(want)) >= 1e-4, (got, want)
 
     def test_hi_count_never_below_s(self):
-        sampler = _CoupledSampler(1.5, 2.0)
-        end = len(sampler.cdf_s)
+        cdf_s, cdf_h = _coupling_tables(1.5, 2.0)[2:4]
+        end = len(cdf_s)
         # S past the end of its table: the interval is the point 1.0
         for unif in (0.0, 0.5, 1.0 - 2.0 ** -53):
-            assert sampler._h(end + 5, unif) == end + 5
+            assert _h(cdf_s, cdf_h, end + 5, unif) == end + 5
         # an interval that rounds to a point, where both tables are flat
-        sampler.cdf_s, sampler.cdf_h = (0.0, 0.5, 0.5, 1.0), (0.5, 1.0)
-        assert sampler._h(2, 0.3) == 2
+        assert _h((0.0, 0.5, 0.5, 1.0), (0.5, 1.0), 2, 0.3) == 2
 
     def test_capped_bushes_are_counted(self, monkeypatch):
         # near lam = 1 a bush passes a cap of 2 nodes below its root often

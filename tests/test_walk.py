@@ -15,7 +15,7 @@ from gwtree import (EstimateReport, estimate_f, estimate_return_integral,
                     green_value, killed_walk_visits, pbar_decay_diagnostic,
                     required_depth_for_killed_walk, return_probs, return_sum,
                     sample_coupled_trees, sample_pgw, sample_pgw_star,
-                    sample_uniform_rooted_tree)
+                    sample_uniform_rooted_tree, tree_from_text)
 from gwtree import trees, walk
 from gwtree.rng import child_key, derive_seed
 from gwtree.trees import RootedTree
@@ -214,14 +214,28 @@ class TestGreenValue:
 
     def test_s_domain(self):
         for bad in (0.0, 1.0, -0.2, 1.7):
-            with pytest.raises(ValueError):
-                green_value(single_edge(), bad, 8)
+            for call in (lambda: green_value(single_edge(), bad, 8),
+                         lambda: green_truncation_bound(bad, 10),
+                         lambda: required_depth_for_killed_walk(bad)):
+                with pytest.raises(ValueError):
+                    call()
 
 
 class TestKilledWalk:
     def test_at_least_one_visit(self):
         t = single_edge()
         assert all(killed_walk_visits(t, 0.5, seed=i) >= 1 for i in range(500))
+
+    @pytest.mark.parametrize("make", [
+        lambda: RootedTree([-1], [0], [False]),
+        lambda: sample_pgw(0.5, 10, 0),  # extinct at the root
+        lambda: tree_from_text("0 -1 U 1\n")], ids=["arena", "pgw", "text"])
+    def test_one_node_tree_one_visit(self, make):
+        # a childless root has no step to take: green_value gives 1.0
+        t = make()
+        assert len(t) == 1
+        assert green_value(t, 0.9, 8) == 1.0
+        assert all(killed_walk_visits(t, 0.9, seed=i) == 1 for i in range(200))
 
     def test_mean_visits_is_green_value(self):
         t = single_edge()
